@@ -24,21 +24,7 @@ from palgebra import (  # noqa: E402
     right_to_left,
     verify_presentation,
 )
-from palgebra.sampling import random_monomial_scalar, random_poly_scalar  # noqa: E402
-from palgebra import frobenius, solve_lambda  # noqa: E402
-
-
-def draw(rng, field, monomial_beta):
-    while True:
-        alpha = random_poly_scalar(rng, field, max_degree=1)
-        gamma = random_poly_scalar(rng, field, max_degree=1)
-        if monomial_beta:
-            beta = random_monomial_scalar(rng, field, max_degree=1)
-        else:
-            beta = random_poly_scalar(rng, field, max_degree=1, nonzero=True)
-        lam = solve_lambda(alpha, gamma, beta)
-        if not (alpha + frobenius(lam) - lam).is_zero():
-            return alpha, gamma, beta
+from palgebra.sampling import draw_right_linked  # noqa: E402
 
 
 def main():
@@ -53,7 +39,7 @@ def main():
         lam_zero = lam_poly = lam_frac = 0
         t0 = time.time()
         for i in range(args.pairs):
-            alpha, gamma, beta = draw(rng, field, monomial_beta=(i % 2 == 0))
+            alpha, gamma, beta = draw_right_linked(rng, field, monomial_beta=(i % 2 == 0))
             res = right_to_left(alpha, gamma, beta, p, field)
             if res.lam.is_zero():
                 lam_zero += 1

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .fields import (
     FieldDescriptor,
-    FpElement,
     LaurentScalar,
     RatFunc,
     Value,
@@ -71,7 +70,6 @@ __all__ = [
     "DivisionByZero",
     "ExprSyntaxError",
     "FieldDescriptor",
-    "FpElement",
     "HypothesisFails",
     "InvalidPrime",
     "InvalidSlot",

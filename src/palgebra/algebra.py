@@ -139,11 +139,6 @@ class SymbolAlgebra:
             conv[(i, j)] = self.field.from_int(c) if isinstance(c, int) else c
         return self._grid(conv)
 
-    def parse(self, text, env=None):
-        from .parsing import parse_element
-
-        return parse_element(text, self, env)
-
     def _check(self, t):
         if t.algebra != self:
             raise ValueError("element belongs to a different algebra")
@@ -309,39 +304,6 @@ class SymbolAlgebra:
             raise WitnessVerificationFailed("solved inverse failed the two-sided check")
         return s
 
-    # --- reference path: dense solve over the base field -----------------------
-    # Kept as an independent cross-check for the tests: same contract as
-    # inverse(), implemented as the p^2 x p^2 right-multiplication solve.
-    def _inverse_dense(self, t):
-        p = self.p
-        n = p * p
-        zero, one = self._zero, self._one
-        # column m of M holds e_m * t; we solve M^T s = e_(0,0)
-        mt = [[zero] * n for _ in range(n)]
-        for m in range(n):
-            i1, j1 = divmod(m, p)
-            for (i2, j2), c2 in t.support():
-                for (i, j), k in self._basis_product(i1, j1, i2, j2):
-                    r = i * p + j
-                    mt[r][m] = mt[r][m] + c2 * k
-        rhs = [one if r == 0 else zero for r in range(n)]
-        sol = _solve_or_null(mt, rhs, zero, one)
-        kind, vec = sol
-        if kind == "null":
-            witness = self._grid(
-                {divmod(m, p): c for m, c in enumerate(vec) if not _surely_zero(c)}
-            )
-            raise NotInvertible("element is a zero divisor", witness=witness)
-        s = self._grid(
-            {divmod(m, p): c for m, c in enumerate(vec) if not _surely_zero(c)}
-        )
-        if not (
-            self.certified_equal(self.mul(s, t), self.one())
-            and self.certified_equal(self.mul(t, s), self.one())
-        ):
-            raise WitnessVerificationFailed("solved inverse failed the two-sided check")
-        return s
-
     def conjugate(self, u, t):
         """u * t * u^(-1)."""
         return self.mul(self.mul(u, t), self.inverse(u))
@@ -440,47 +402,6 @@ def _zero_at_precision(c):
     if hasattr(c, "terms"):
         return not c.terms
     return c.is_zero()
-
-
-def _solve_or_null(matrix, rhs, zero, one):
-    """Gaussian elimination with exact pivoting by first nonzero entry.
-
-    Returns ("solution", vec) with matrix @ vec = rhs when the matrix is
-    invertible, else ("null", vec) with a nonzero kernel vector.
-    """
-    n = len(matrix)
-    m = [row[:] + [r] for row, r in zip(matrix, rhs)]
-    pivot_of_col = {}
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, n):
-            if not _surely_zero(m[r][col]):
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = one / m[row][col]
-        m[row] = [inv * v for v in m[row]]
-        for r in range(n):
-            if r != row and not _surely_zero(m[r][col]):
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[row])]
-        pivot_of_col[col] = row
-        row += 1
-    if row == n:
-        vec = [zero] * n
-        for col, r in pivot_of_col.items():
-            vec[col] = m[r][n]
-        return "solution", vec
-    # rank-deficient: build a kernel vector from a free column
-    free = next(c for c in range(n) if c not in pivot_of_col)
-    vec = [zero] * n
-    vec[free] = one
-    for col, r in pivot_of_col.items():
-        vec[col] = -m[r][free]
-    return "null", vec
 
 
 class AlgElement:

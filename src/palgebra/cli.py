@@ -21,6 +21,7 @@ from .algebra import make_algebra
 from .errors import ExprSyntaxError, PAlgebraError
 from .fields import FieldDescriptor
 from .linkage import (
+    SymbolPresentation,
     chain_identity,
     right_to_left,
     scale_slot_by_norm,
@@ -163,16 +164,20 @@ def _bindings(args, field):
     return env
 
 
-def _cmd_link(args):
+def _parse_inputs(args, slots=("alpha", "beta")):
+    """The preamble shared by the algebra verbs: the base field, the --let
+    bindings and the slot flags, parsed in that order, and a report whose
+    inputs start with p, the field and the slots."""
     fieldd = _field_from_args(args)
     env = _bindings(args, fieldd)
-    alpha = parse_scalar(args.alpha, fieldd, env)
-    gamma = parse_scalar(args.gamma, fieldd, env)
-    beta = parse_scalar(args.beta, fieldd, env)
-    report = Report(
-        "link",
-        {"p": args.p, "field": str(fieldd), "alpha": str(alpha), "gamma": str(gamma), "beta": str(beta)},
-    )
+    values = [parse_scalar(getattr(args, slot), fieldd, env) for slot in slots]
+    inputs = {"p": args.p, "field": str(fieldd)}
+    inputs.update((slot, str(value)) for slot, value in zip(slots, values))
+    return fieldd, env, values, Report(args.verb, inputs)
+
+
+def _cmd_link(args):
+    fieldd, _, (alpha, gamma, beta), report = _parse_inputs(args, ("alpha", "gamma", "beta"))
     res = right_to_left(alpha, gamma, beta, args.p, fieldd)
     report.results["lambda"] = str(res.lam)
     report.results["common_left"] = str(res.common_left)
@@ -194,18 +199,11 @@ def _cmd_link(args):
 
 
 def _cmd_verify_lemma(args):
-    fieldd = _field_from_args(args)
-    env = _bindings(args, fieldd)
-    alpha = parse_scalar(args.alpha, fieldd, env)
-    beta = parse_scalar(args.beta, fieldd, env)
+    fieldd, env, (alpha, beta), report = _parse_inputs(args)
     A = make_algebra(args.p, alpha, beta, fieldd)
     x_el = parse_element(args.x, A, env)
     t_el = parse_element(args.t, A, env)
-    report = Report(
-        "verify-lemma",
-        {"p": args.p, "field": str(fieldd), "alpha": str(alpha), "beta": str(beta),
-         "x": str(x_el), "t": str(t_el)},
-    )
+    report.inputs.update(x=str(x_el), t=str(t_el))
     lem = verify_lemma(A, x_el, t_el)
     report.results["k"] = lem.k
     report.results["m"] = lem.m
@@ -215,16 +213,10 @@ def _cmd_verify_lemma(args):
 
 
 def _cmd_decompose(args):
-    fieldd = _field_from_args(args)
-    env = _bindings(args, fieldd)
-    alpha = parse_scalar(args.alpha, fieldd, env)
-    beta = parse_scalar(args.beta, fieldd, env)
+    fieldd, env, (alpha, beta), report = _parse_inputs(args)
     A = make_algebra(args.p, alpha, beta, fieldd)
     t = parse_element(args.t, A, env)
-    report = Report(
-        "decompose",
-        {"p": args.p, "field": str(fieldd), "alpha": str(alpha), "beta": str(beta), "t": str(t)},
-    )
+    report.inputs["t"] = str(t)
     comps = A.ad_decompose(t, A.x())
     for i, part in enumerate(comps):
         report.results[f"t_{i}"] = str(part)
@@ -236,17 +228,8 @@ def _cmd_decompose(args):
 
 
 def _cmd_identity(args):
-    fieldd = _field_from_args(args)
-    env = _bindings(args, fieldd)
-    alpha = parse_scalar(args.alpha, fieldd, env)
-    beta = parse_scalar(args.beta, fieldd, env)
-    from .linkage import SymbolPresentation
-
+    fieldd, _, (alpha, beta), report = _parse_inputs(args)
     pres = SymbolPresentation(alpha, beta, args.p, fieldd)
-    report = Report(
-        "identity",
-        {"p": args.p, "field": str(fieldd), "alpha": str(alpha), "beta": str(beta)},
-    )
     new_pres, witness = chain_identity(pres)
     report.results["presentation"] = str(new_pres)
     report.results["witness"] = witness.to_dict()
@@ -257,19 +240,11 @@ def _cmd_identity(args):
 
 
 def _cmd_scale(args):
-    fieldd = _field_from_args(args)
-    env = _bindings(args, fieldd)
-    alpha = parse_scalar(args.alpha, fieldd, env)
-    beta = parse_scalar(args.beta, fieldd, env)
-    from .linkage import SymbolPresentation
-
+    fieldd, env, (alpha, beta), report = _parse_inputs(args)
     pres = SymbolPresentation(alpha, beta, args.p, fieldd)
     A = pres.to_algebra()
     u = parse_element(args.u, A, env)
-    report = Report(
-        "scale",
-        {"p": args.p, "field": str(fieldd), "alpha": str(alpha), "beta": str(beta), "u": str(u)},
-    )
+    report.inputs["u"] = str(u)
     norm = A.norm_Fx(u)
     new_pres, witness = scale_slot_by_norm(pres, u)
     report.results["norm"] = str(norm)
@@ -306,17 +281,10 @@ def _cmd_counterexample(args):
 
 
 def _cmd_eval(args):
-    fieldd = _field_from_args(args)
-    env = _bindings(args, fieldd)
-    alpha = parse_scalar(args.alpha, fieldd, env)
-    beta = parse_scalar(args.beta, fieldd, env)
+    fieldd, env, (alpha, beta), report = _parse_inputs(args)
     A = make_algebra(args.p, alpha, beta, fieldd)
     el = parse_element(args.expr, A, env)
-    report = Report(
-        "eval",
-        {"p": args.p, "field": str(fieldd), "alpha": str(alpha), "beta": str(beta),
-         "expr": args.expr},
-    )
+    report.inputs["expr"] = args.expr
     report.results["normal_form"] = str(el)
     return report
 

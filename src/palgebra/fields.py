@@ -1,5 +1,5 @@
-"""Exact scalars: F_p, rational functions in a and b, truncated bi-Laurent
-series F_p((a))((b)), and rank-2 values.
+"""Exact scalars: rational functions in a and b over F_p, truncated
+bi-Laurent series F_p((a))((b)), and rank-2 values.
 
 Every scalar is immutable after construction and all operations are pure.
 Rational functions are kept in canonical reduced form (coprime numerator
@@ -32,50 +32,6 @@ from .errors import (
 )
 
 INF = math.inf
-
-
-@dataclass(frozen=True)
-class FpElement:
-    """An element of the prime field F_p."""
-
-    residue: int
-    modulus: int
-
-    def __post_init__(self):
-        if not polys.is_prime(self.modulus):
-            raise InvalidPrime(f"{self.modulus} is not prime")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
-
-    def _check(self, other):
-        if self.modulus != other.modulus:
-            raise ValueError("mixed moduli")
-
-    def __add__(self, other):
-        self._check(other)
-        return FpElement(self.residue + other.residue, self.modulus)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FpElement(self.residue - other.residue, self.modulus)
-
-    def __mul__(self, other):
-        self._check(other)
-        return FpElement(self.residue * other.residue, self.modulus)
-
-    def __neg__(self):
-        return FpElement(-self.residue, self.modulus)
-
-    def __truediv__(self, other):
-        self._check(other)
-        if other.residue == 0:
-            raise DivisionByZero("division by zero in F_p")
-        return FpElement(self.residue * polys.inv_mod(other.residue, self.modulus), self.modulus)
-
-    def is_zero(self):
-        return self.residue == 0
-
-    def __str__(self):
-        return str(self.residue)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +309,10 @@ class LaurentScalar:
         return len(self.terms) > 1 or not self.exact
 
     def coefficient(self, ea, eb):
-        """Certified coefficient at (ea, eb) as an FpElement."""
+        """Certified coefficient at (ea, eb), an int in 0..p-1."""
         if ea >= self.ha or eb >= self.hb:
             raise PrecisionExhausted(f"coefficient at ({ea}, {eb}) is outside the window")
-        return FpElement(self.terms.get((ea, eb), 0), self.p)
+        return self.terms.get((ea, eb), 0)
 
     # arithmetic -----------------------------------------------------------
     def _coerce(self, other):
@@ -625,9 +581,6 @@ class Value:
 
     def __str__(self):
         return f"({self.va}, {self.vb})"
-
-
-ZERO_VALUE = Value(Fraction(0), Fraction(0))
 
 
 def valuation(c):

@@ -10,7 +10,8 @@ Grammar (whitespace insignificant):
 Scalar expressions know the names ``a`` and ``b``; element expressions add
 ``x`` and ``y`` and multiply noncommutatively in source order.  Extra names
 may be supplied through an environment of let-bindings.  Exponents are
-nonnegative integers.
+nonnegative integers.  Parentheses and unary minus together may nest at
+most ``MAX_NESTING`` deep; deeper input is a syntax error.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ class Token:
 
 
 _OPS = set("+-*/^()")
+
+# Each level of nesting costs the parser a few Python frames; this bound
+# keeps the deepest accepted expression well inside the recursion limit.
+MAX_NESTING = 100
 
 
 def tokenize(text):
@@ -71,6 +76,7 @@ class _Parser:
         self.i = 0
         self.atoms = atoms
         self.from_int = from_int
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -79,6 +85,11 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
+
+    def nest(self, tok):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", tok.pos)
 
     def expect_op(self, op):
         tok = self.peek()
@@ -119,7 +130,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "-":
             self.advance()
-            return -self.factor()
+            self.nest(tok)
+            value = -self.factor()
+            self.depth -= 1
+            return value
         value = self.atom()
         while True:
             tok = self.peek()
@@ -145,8 +159,10 @@ class _Parser:
             return self.atoms[tok.text]
         if tok.kind == "OP" and tok.text == "(":
             self.advance()
+            self.nest(tok)
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise ExprSyntaxError("expected a value", tok.pos)
 

@@ -7,9 +7,10 @@ Two raw representations are used internally:
 * bivariate: dict mapping (ea, eb) -> coefficient, same convention,
   for polynomials in the indeterminates a and b.
 
-All functions are pure. Monomial comparisons use graded lexicographic
-order with a ranked above b; gcds are returned monic with respect to
-that order so that canonical forms are unique.
+``p_add``, ``p_neg`` and ``p_scale`` never look inside a key, so they
+serve both representations.  All functions are pure. Monomial comparisons
+use graded lexicographic order with a ranked above b; gcds are returned
+monic with respect to that order so that canonical forms are unique.
 """
 
 from __future__ import annotations
@@ -33,30 +34,6 @@ def inv_mod(c: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 # univariate helpers (used by the bivariate gcd, recursive in b over F_p[a])
 # ---------------------------------------------------------------------------
-
-def u_const(c, p):
-    c %= p
-    return {0: c} if c else {}
-
-
-def u_add(f, g, p):
-    out = dict(f)
-    for e, c in g.items():
-        s = (out.get(e, 0) + c) % p
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def u_neg(f, p):
-    return {e: (-c) % p for e, c in f.items()}
-
-
-def u_sub(f, g, p):
-    return u_add(f, u_neg(g, p), p)
-
 
 def u_mul(f, g, p):
     if not f or not g:
@@ -100,25 +77,8 @@ def u_mul(f, g, p):
     return out
 
 
-def u_scale(f, c, p):
-    c %= p
-    if not c:
-        return {}
-    return {e: (k * c) % p for e, k in f.items()}
-
-
-def u_degree(f):
-    return max(f) if f else -1
-
-
 def u_lc(f):
     return f[max(f)]
-
-
-def u_monic(f, p):
-    if not f:
-        return {}
-    return u_scale(f, inv_mod(u_lc(f), p), p)
 
 
 def u_divmod(f, g, p):
@@ -221,10 +181,6 @@ def p_neg(f, p):
     return {m: (-c) % p for m, c in f.items()}
 
 
-def p_sub(f, g, p):
-    return p_add(f, p_neg(g, p), p)
-
-
 def p_mul(f, g, p):
     if not f or not g:
         return {}
@@ -274,10 +230,6 @@ def p_is_one(f):
     return f == P_ONE
 
 
-def total_degree(f):
-    return max(ea + eb for ea, eb in f) if f else -1
-
-
 # recursive view: dict b-exponent -> univariate poly in a
 
 def _to_rec(f):
@@ -322,7 +274,7 @@ def _rec_scale(rec, u, p):
 def _rec_sub(f, g, p):
     out = dict(f)
     for eb, ua in g.items():
-        s = u_sub(out.get(eb, {}), ua, p)
+        s = p_add(out.get(eb, {}), p_neg(ua, p), p)
         if s:
             out[eb] = s
         else:

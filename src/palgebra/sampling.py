@@ -1,13 +1,14 @@
 """Seeded random generators for scalars and algebra elements.
 
-Everything takes an explicit random.Random so that experiment scripts,
-the CLI and the test suite stay reproducible. Sampled coefficients are
-kept small: the engine is exact, so size only costs time.
+Everything takes an explicit random.Random so that the valuation
+experiment, the scripts and the test suite stay reproducible. Sampled
+coefficients are kept small: the engine is exact, so size only costs time.
 """
 
 from __future__ import annotations
 
-from .fields import LaurentScalar, RatFunc
+from .fields import LaurentScalar, RatFunc, frobenius
+from .linkage import solve_lambda
 
 
 def random_poly_scalar(rng, field, max_degree=2, max_terms=3, nonzero=False):
@@ -68,15 +69,32 @@ def random_nonzero_element(rng, algebra, density=0.35, scalar_sampler=None):
             return t
 
 
-def random_fx_element(rng, algebra, nonzero=True):
-    """Random element of the commutative subring F[x]."""
+def random_fx_element(rng, algebra, nonzero=True, max_degree=1):
+    """Random element of the commutative subring F[x]; coefficients are
+    polynomials with exponents at most ``max_degree``."""
     p = algebra.p
     while True:
         entries = {}
         for i in range(p):
             if rng.random() < 0.6:
-                c = random_poly_scalar(rng, algebra.field, max_degree=1, max_terms=2)
+                c = random_poly_scalar(rng, algebra.field, max_degree=max_degree, max_terms=2)
                 if not c.is_zero():
                     entries[(i, 0)] = c
         if entries or not nonzero:
             return algebra.from_entries(entries)
+
+
+def draw_right_linked(rng, field, monomial_beta=True):
+    """Random (alpha, gamma, beta) for the common-left-slot construction,
+    resampling the degenerate draws where alpha + lambda^p - lambda = 0
+    (split instances excluded by the division-algebra hypothesis)."""
+    while True:
+        alpha = random_poly_scalar(rng, field, max_degree=1)
+        gamma = random_poly_scalar(rng, field, max_degree=1)
+        if monomial_beta:
+            beta = random_monomial_scalar(rng, field, max_degree=1)
+        else:
+            beta = random_poly_scalar(rng, field, max_degree=1, nonzero=True)
+        lam = solve_lambda(alpha, gamma, beta)
+        if not (alpha + frobenius(lam) - lam).is_zero():
+            return alpha, gamma, beta

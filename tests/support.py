@@ -1,26 +1,8 @@
-"""Shared sampling helpers for the test suite."""
+"""Shared helpers for the test suite: a sampler and the dense inverse oracle."""
 
-from palgebra import frobenius, solve_lambda
-from palgebra.sampling import (
-    random_monomial_scalar,
-    random_poly_scalar,
-)
-
-
-def draw_right_linked(rng, field, monomial_beta=True):
-    """Random (alpha, gamma, beta) for the common-left-slot construction,
-    resampling the degenerate draws where alpha + lambda^p - lambda = 0
-    (split instances excluded by the division-algebra hypothesis)."""
-    while True:
-        alpha = random_poly_scalar(rng, field, max_degree=1)
-        gamma = random_poly_scalar(rng, field, max_degree=1)
-        if monomial_beta:
-            beta = random_monomial_scalar(rng, field, max_degree=1)
-        else:
-            beta = random_poly_scalar(rng, field, max_degree=1, nonzero=True)
-        lam = solve_lambda(alpha, gamma, beta)
-        if not (alpha + frobenius(lam) - lam).is_zero():
-            return alpha, gamma, beta
+from palgebra import NotInvertible, WitnessVerificationFailed
+from palgebra.algebra import _surely_zero
+from palgebra.sampling import random_poly_scalar
 
 
 def random_poly_element(rng, A, density=0.3, max_degree=1, max_terms=2):
@@ -33,3 +15,78 @@ def random_poly_element(rng, A, density=0.3, max_degree=1, max_terms=2):
                 if not c.is_zero():
                     entries[(i, j)] = c
     return A.from_entries(entries)
+
+
+# --- reference path: dense solve over the base field -----------------------
+# An independent cross-check for SymbolAlgebra.inverse: same contract,
+# implemented as the p^2 x p^2 right-multiplication solve.
+
+def inverse_dense(A, t):
+    p = A.p
+    n = p * p
+    zero, one = A.field.zero(), A.field.one()
+    # column m of M holds e_m * t; we solve M^T s = e_(0,0)
+    mt = [[zero] * n for _ in range(n)]
+    for m in range(n):
+        i1, j1 = divmod(m, p)
+        for (i2, j2), c2 in t.support():
+            for (i, j), k in A._basis_product(i1, j1, i2, j2):
+                r = i * p + j
+                mt[r][m] = mt[r][m] + c2 * k
+    rhs = [one if r == 0 else zero for r in range(n)]
+    kind, vec = _solve_or_null(mt, rhs, zero, one)
+    if kind == "null":
+        witness = A.from_entries(
+            {divmod(m, p): c for m, c in enumerate(vec) if not _surely_zero(c)}
+        )
+        raise NotInvertible("element is a zero divisor", witness=witness)
+    s = A.from_entries(
+        {divmod(m, p): c for m, c in enumerate(vec) if not _surely_zero(c)}
+    )
+    if not (
+        A.certified_equal(A.mul(s, t), A.one())
+        and A.certified_equal(A.mul(t, s), A.one())
+    ):
+        raise WitnessVerificationFailed("solved inverse failed the two-sided check")
+    return s
+
+
+def _solve_or_null(matrix, rhs, zero, one):
+    """Gaussian elimination with exact pivoting by first nonzero entry.
+
+    Returns ("solution", vec) with matrix @ vec = rhs when the matrix is
+    invertible, else ("null", vec) with a nonzero kernel vector.
+    """
+    n = len(matrix)
+    m = [row[:] + [r] for row, r in zip(matrix, rhs)]
+    pivot_of_col = {}
+    row = 0
+    for col in range(n):
+        piv = None
+        for r in range(row, n):
+            if not _surely_zero(m[r][col]):
+                piv = r
+                break
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        inv = one / m[row][col]
+        m[row] = [inv * v for v in m[row]]
+        for r in range(n):
+            if r != row and not _surely_zero(m[r][col]):
+                f = m[r][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[row])]
+        pivot_of_col[col] = row
+        row += 1
+    if row == n:
+        vec = [zero] * n
+        for col, r in pivot_of_col.items():
+            vec[col] = m[r][n]
+        return "solution", vec
+    # rank-deficient: build a kernel vector from a free column
+    free = next(c for c in range(n) if c not in pivot_of_col)
+    vec = [zero] * n
+    vec[free] = one
+    for col, r in pivot_of_col.items():
+        vec[col] = -m[r][free]
+    return "null", vec

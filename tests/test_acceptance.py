@@ -22,11 +22,12 @@ from palgebra import (
     verify_lemma,
 )
 from palgebra.sampling import (
+    draw_right_linked,
     random_fx_element,
     random_poly_scalar,
 )
 
-from support import draw_right_linked, random_poly_element
+from support import random_poly_element
 
 PRIMES = (2, 3, 5)
 GOLDENS = Path(__file__).parent / "goldens"

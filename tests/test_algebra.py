@@ -24,6 +24,8 @@ from palgebra.sampling import (
     random_poly_scalar,
 )
 
+from support import inverse_dense
+
 
 def rational_algebra(p):
     field = FieldDescriptor("rational", p)
@@ -207,11 +209,11 @@ def test_inverse_agrees_with_dense_reference(p):
             fast = A.inverse(t)
         except NotInvertible:
             with pytest.raises(NotInvertible) as exc:
-                A._inverse_dense(t)
+                inverse_dense(A, t)
             assert A.mul(exc.value.witness, t).is_zero()
             done += 1
             continue
-        assert A._inverse_dense(t) == fast
+        assert inverse_dense(A, t) == fast
         done += 1
 
 

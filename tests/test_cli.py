@@ -3,6 +3,8 @@
 import json
 import random
 import string
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,6 +125,22 @@ def test_syntax_error_exit_2(capsys):
                        "--expr", "x^")
     assert code == 2
     assert "syntax error" in err
+
+
+def test_deep_nesting_exit_2(capsys):
+    code, _, err = run(capsys, "eval", "-p", "3", "--alpha", "a", "--beta", "b",
+                       "--expr=" + "-" * 3000 + "x")
+    assert code == 2
+    assert "nested deeper" in err
+    proc = subprocess.run(
+        [sys.executable, "-m", "palgebra.cli", "eval", "-p", "3",
+         "--alpha", "(" * 3000 + "a" + ")" * 3000, "--beta", "b", "--expr", "x"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("palgebra: syntax error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_math_failure_exit_1(capsys):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from palgebra import (
     DivisionByZero,
     FieldDescriptor,
-    FpElement,
     InvalidPrime,
     LaurentScalar,
     PrecisionExhausted,
@@ -27,26 +26,6 @@ RAT2 = FieldDescriptor("rational", 2)
 RAT3 = FieldDescriptor("rational", 3)
 RAT5 = FieldDescriptor("rational", 5)
 LAU = {p: FieldDescriptor("laurent", p, 8) for p in (2, 3, 5)}
-
-
-# --- FpElement ----------------------------------------------------------
-
-def test_fp_element_arithmetic():
-    x = FpElement(4, 5)
-    y = FpElement(3, 5)
-    assert (x + y).residue == 2
-    assert (x * y).residue == 2
-    assert (x - y).residue == 1
-    assert (x / y).residue == 3  # 3 * 3 = 9 = 4
-    assert (-y).residue == 2
-
-
-def test_fp_element_validation():
-    with pytest.raises(InvalidPrime):
-        FpElement(1, 6)
-    with pytest.raises(DivisionByZero):
-        FpElement(1, 5) / FpElement(0, 5)
-    assert FpElement(12, 5).residue == 2
 
 
 # --- rational functions ---------------------------------------------------
@@ -130,6 +109,22 @@ def test_frobenius_is_ring_homomorphism(p):
 
 
 # --- Laurent scalars --------------------------------------------------------
+
+def test_coefficient_is_int_inside_window():
+    field = FieldDescriptor("laurent", 5, 4)
+    a, b = field.gen("a"), field.gen("b")
+    inv = (field.one() - a - b).inverse()  # coefficient (i, j) is C(i+j, i) mod 5
+    assert inv.ha == 4 and inv.hb == 4
+    assert inv.coefficient(3, 1) == 4 and type(inv.coefficient(3, 1)) is int
+    assert inv.coefficient(2, 3) == 0 and type(inv.coefficient(2, 3)) is int
+    with pytest.raises(PrecisionExhausted):
+        inv.coefficient(4, 0)
+    with pytest.raises(PrecisionExhausted):
+        inv.coefficient(0, 4)
+    exact = 2 * a - b
+    assert exact.coefficient(1, 0) == 2 and exact.coefficient(0, 1) == 4
+    assert exact.coefficient(100, 100) == 0
+
 
 def test_geometric_series_with_window():
     field = FieldDescriptor("laurent", 2, 4)

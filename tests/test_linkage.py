@@ -19,9 +19,10 @@ from palgebra import (
     verify_lemma,
     verify_presentation,
 )
+from palgebra import sampling
 from palgebra.sampling import (
+    draw_right_linked,
     random_fx_element,
-    random_monomial_scalar,
     random_poly_scalar,
 )
 
@@ -36,21 +37,6 @@ def presentation(p, alpha=None, beta=None):
         p,
         field,
     )
-
-
-def draw_right_linked(rng, p, monomial_beta=True):
-    """Random (alpha, gamma, beta) avoiding the degenerate split draws."""
-    field = RAT[p]
-    while True:
-        alpha = random_poly_scalar(rng, field, max_degree=1)
-        gamma = random_poly_scalar(rng, field, max_degree=1)
-        if monomial_beta:
-            beta = random_monomial_scalar(rng, field, max_degree=1)
-        else:
-            beta = random_poly_scalar(rng, field, max_degree=1, nonzero=True)
-        lam = solve_lambda(alpha, gamma, beta)
-        if not (alpha + frobenius(lam) - lam).is_zero():
-            return alpha, gamma, beta
 
 
 # --- verify_presentation -----------------------------------------------------
@@ -251,13 +237,33 @@ def test_right_to_left_degenerate_raises():
         right_to_left(field.zero(), field.zero(), field.from_int(2), 5, field)
 
 
+def test_draw_right_linked_resamples_split_draws(monkeypatch):
+    attempts = []
+
+    def counting_solve_lambda(alpha, gamma, beta):
+        attempts.append((alpha, gamma, beta))
+        return solve_lambda(alpha, gamma, beta)
+
+    monkeypatch.setattr(sampling, "solve_lambda", counting_solve_lambda)
+    draws = 0
+    for p in (2, 3):
+        rng = random.Random(70 + p)
+        for i in range(40):
+            alpha, gamma, beta = draw_right_linked(rng, RAT[p], monomial_beta=(i % 2 == 0))
+            lam = solve_lambda(alpha, gamma, beta)
+            assert not (alpha + frobenius(lam) - lam).is_zero()
+            draws += 1
+    # split draws were met and resampled, never returned
+    assert len(attempts) > draws
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_right_to_left_random_pairs(p):
     field = RAT[p]
     rng = random.Random(900 + p)
     n = 4 if p == 5 else 8
     for i in range(n):
-        alpha, gamma, beta = draw_right_linked(rng, p, monomial_beta=(i % 2 == 0))
+        alpha, gamma, beta = draw_right_linked(rng, field, monomial_beta=(i % 2 == 0))
         res = right_to_left(alpha, gamma, beta, p, field)
         # the two presentations share the left slot exactly
         assert res.pres_A.left == res.pres_Aprime.left == res.common_left

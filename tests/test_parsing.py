@@ -12,6 +12,7 @@ from palgebra import (
     parse_element,
     parse_scalar,
 )
+from palgebra.parsing import MAX_NESTING
 from palgebra.sampling import random_element, random_rational_function
 
 RAT5 = FieldDescriptor("rational", 5)
@@ -53,6 +54,30 @@ def test_parse_rejects_negative_exponent_and_unknown_name():
 def test_parse_literal_zero_denominator():
     with pytest.raises(DivisionByZero):
         parse_scalar("1/(a - a)", RAT5)
+
+
+def test_nesting_limit():
+    a = RAT5.gen("a")
+    n = MAX_NESTING
+    assert parse_scalar("(" * n + "a" + ")" * n, RAT5) == a
+    assert parse_scalar("-" * n + "a", RAT5) == a  # n is even
+    assert parse_scalar("(-" * (n // 2) + "a" + ")" * (n // 2), RAT5) == a
+    # siblings do not add up: only the open levels count
+    assert parse_scalar("+".join(["(-(a))"] * 3 * n), RAT5) == 3 * n * (-a)
+    too_deep = [
+        "(" * (n + 1) + "a" + ")" * (n + 1),
+        "-" * (n + 1) + "a",
+        "(-" * (n // 2) + "-a" + ")" * (n // 2),
+        "(" * 3000 + "a" + ")" * 3000,
+        "-" * 3000 + "a",
+    ]
+    for text in too_deep:
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_scalar(text, RAT5)
+        assert exc.value.position == n
+    A = make_algebra(2, RAT2.gen("a"), RAT2.gen("b"), RAT2)
+    with pytest.raises(ExprSyntaxError):
+        parse_element("(" * 3000 + "x" + ")" * 3000, A)
 
 
 def test_unary_minus_and_integers():
