@@ -5,7 +5,8 @@ its base field by x and y subject to
 
     x^p - x = alpha,    y^p = beta,    y*x*y^(-1) = x + 1,
 
-with elements stored as p x p coefficient grids in the basis x^i y^j.
+with elements stored as maps from the basis monomials x^i y^j to their
+nonzero coefficients.
 Products are brought to normal form by first moving powers of y past
 powers of x (y^j x^c = (x+j)^c y^j, expanded binomially), then reducing
 x-degrees of p and above through x^p = x + alpha, then y-degrees through
@@ -30,30 +31,6 @@ from .errors import (
 )
 
 _COMB = math.comb
-
-# inverse Vandermonde matrices on the nodes 0, ..., p-1 over F_p, per prime
-_VANDERMONDE_INV: dict[int, tuple] = {}
-
-
-def _vandermonde_inverse(p):
-    cached = _VANDERMONDE_INV.get(p)
-    if cached is not None:
-        return cached
-    # rows m, columns i: V[m][i] = i^m mod p (0^0 = 1)
-    aug = [[pow(i, m, p) if (i, m) != (0, 0) else 1 for i in range(p)] + [1 if k == m else 0 for k in range(p)]
-           for m in range(p)]
-    for col in range(p):
-        piv = next(r for r in range(col, p) if aug[r][col] % p)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = polys.inv_mod(aug[col][col], p)
-        aug[col] = [(v * inv) % p for v in aug[col]]
-        for r in range(p):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(v - f * w) % p for v, w in zip(aug[r], aug[col])]
-    vinv = tuple(tuple(row[p:]) for row in aug)
-    _VANDERMONDE_INV[p] = vinv
-    return vinv
 
 
 class SymbolAlgebra:
@@ -100,11 +77,15 @@ class SymbolAlgebra:
 
     # element constructors ---------------------------------------------------
     def _grid(self, entries):
+        """Element from a map (i, j) -> scalar; exact zeros are dropped."""
         p = self.p
-        rows = []
-        for i in range(p):
-            rows.append(tuple(entries.get((i, j), self._zero) for j in range(p)))
-        return AlgElement(self, tuple(rows))
+        kept = {}
+        for (i, j), c in entries.items():
+            if not (0 <= i < p and 0 <= j < p):
+                raise ValueError("monomial exponents must lie in [0, p)")
+            if not c._surely_zero():
+                kept[(i, j)] = c
+        return AlgElement(self, kept)
 
     def zero(self):
         return self._grid({})
@@ -125,19 +106,11 @@ class SymbolAlgebra:
     def y(self):
         return self._grid({(0, 1): self._one})
 
-    def monomial(self, c, i, j):
-        if not (0 <= i < self.p and 0 <= j < self.p):
-            raise ValueError("monomial exponents must lie in [0, p)")
-        if isinstance(c, int):
-            c = self.field.from_int(c)
-        return self._grid({(i, j): c})
-
     def from_entries(self, entries):
-        """Element from a map (i, j) -> scalar-or-int."""
-        conv = {}
-        for (i, j), c in entries.items():
-            conv[(i, j)] = self.field.from_int(c) if isinstance(c, int) else c
-        return self._grid(conv)
+        """Element from a map (i, j) -> scalar-or-int with 0 <= i, j < p."""
+        return self._grid(
+            {ij: self.field.from_int(c) if isinstance(c, int) else c for ij, c in entries.items()}
+        )
 
     def _check(self, t):
         if t.algebra != self:
@@ -167,36 +140,36 @@ class SymbolAlgebra:
         if j >= p:
             j -= p
             coeffs = [c * self.beta for c in coeffs]
-        expansion = tuple(
-            ((e, j), c) for e, c in enumerate(coeffs) if not _surely_zero(c)
-        )
+        expansion = tuple(((e, j), c) for e, c in enumerate(coeffs) if not c._surely_zero())
         self._cache[key] = expansion
         return expansion
 
     def mul(self, s, t):
         self._check(s)
         self._check(t)
-        p = self.p
-        acc = [[self._zero] * p for _ in range(p)]
-        for (i1, j1), c1 in s.support():
-            for (i2, j2), c2 in t.support():
+        acc = {}
+        for (i1, j1), c1 in s.entries.items():
+            for (i2, j2), c2 in t.entries.items():
                 c12 = c1 * c2
-                for (i, j), k in self._basis_product(i1, j1, i2, j2):
-                    acc[i][j] = acc[i][j] + c12 * k
-        return AlgElement(self, tuple(tuple(row) for row in acc))
+                for ij, k in self._basis_product(i1, j1, i2, j2):
+                    # a sum starts from its first term, not from an exact
+                    # zero: a Laurent term keeps its own lower bounds la/lb,
+                    # which are tighter than min(0, .) and still sound
+                    term = c12 * k
+                    acc[ij] = acc[ij] + term if ij in acc else term
+        return self._grid(acc)
 
     def add(self, s, t):
         self._check(s)
         self._check(t)
-        rows = tuple(
-            tuple(cs + ct for cs, ct in zip(rs, rt))
-            for rs, rt in zip(s.coeffs, t.coeffs)
-        )
-        return AlgElement(self, rows)
+        acc = dict(s.entries)
+        for ij, c in t.entries.items():
+            acc[ij] = acc[ij] + c if ij in acc else c
+        return self._grid(acc)
 
     def neg(self, t):
         self._check(t)
-        return AlgElement(self, tuple(tuple(-c for c in row) for row in t.coeffs))
+        return self._grid({ij: -c for ij, c in t.entries.items()})
 
     def sub(self, s, t):
         return self.add(s, self.neg(t))
@@ -205,20 +178,13 @@ class SymbolAlgebra:
         """Multiply by a central scalar."""
         if isinstance(c, int):
             c = self.field.from_int(c)
-        return AlgElement(self, tuple(tuple(c * e for e in row) for row in t.coeffs))
+        return self._grid({ij: c * e for ij, e in t.entries.items()})
 
     def power(self, t, n):
         self._check(t)
         if n < 0:
             raise ValueError("negative powers go through inverse")
-        out = self.one()
-        base = t
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base) if n > 1 else base
-            n >>= 1
-        return out
+        return polys.power(t, n, self.one(), self.mul)
 
     def commutator(self, s, t):
         return self.sub(self.mul(s, t), self.mul(t, s))
@@ -231,8 +197,7 @@ class SymbolAlgebra:
         the right notion for verifying identities whose inputs passed
         through window-truncating operations (inversion).
         """
-        d = self.sub(s, t)
-        return all(_zero_at_precision(c) for row in d.coeffs for c in row)
+        return all(c._certified_zero() for c in self.sub(s, t).entries.values())
 
     # linear algebra over the base field --------------------------------------
     def inverse(self, t):
@@ -262,10 +227,10 @@ class SymbolAlgebra:
             hist = [one if m == k else zero for m in range(p + 1)]
             for pc, brow, bhist in basis:
                 f = row[pc]
-                if not _surely_zero(f):
+                if not f._surely_zero():
                     row = [a - f * b for a, b in zip(row, brow)]
                     hist = [a - f * b for a, b in zip(hist, bhist)]
-            piv = next((c for c in range(n) if not _surely_zero(row[c])), None)
+            piv = next((c for c in range(n) if not row[c]._surely_zero()), None)
             if piv is None:
                 return self._resolve_dependency(t, powers, hist)
             inv = one / row[piv]
@@ -273,7 +238,7 @@ class SymbolAlgebra:
             hist = [inv * v for v in hist]
             for idx, (pc, brow, bhist) in enumerate(basis):
                 f = brow[piv]
-                if not _surely_zero(f):
+                if not f._surely_zero():
                     basis[idx] = (
                         pc,
                         [a - f * b for a, b in zip(brow, row)],
@@ -289,10 +254,10 @@ class SymbolAlgebra:
         tail = self.zero()
         for i in range(1, len(powers)):
             c = coeffs[i]
-            if not _surely_zero(c):
+            if not c._surely_zero():
                 tail = self.add(tail, self.scale(c, powers[i - 1]))
         c0 = coeffs[0]
-        if _surely_zero(c0):
+        if c0._surely_zero():
             if tail.is_zero() or not self.certified_equal(self.mul(tail, t), self.zero()):
                 raise WitnessVerificationFailed("bad zero-divisor witness")
             raise NotInvertible("element is a zero divisor", witness=tail)
@@ -366,7 +331,9 @@ class SymbolAlgebra:
 
         Component i satisfies t_i x_el - x_el t_i = i t_i and the components
         sum back to t; both facts are consequences of x_el^p - x_el being
-        central, which is what makes the operator satisfy ad^p = ad.
+        central, which is what makes the operator satisfy ad^p = ad.  The
+        projector onto component i is 1 - (ad - i)^(p-1), expanded in powers
+        of ad with coefficients in F_p.
         """
         self._check(t)
         if self.is_artin_schreier(x_el) is None:
@@ -377,62 +344,43 @@ class SymbolAlgebra:
         for _ in range(p - 1):
             cur = self.sub(self.mul(cur, x_el), self.mul(x_el, cur))
             iterates.append(cur)
-        vinv = _vandermonde_inverse(p)
         parts = []
         for i in range(p):
             part = self.zero()
             for m in range(p):
-                c = vinv[i][m]
+                c = ((m == 0) - _COMB(p - 1, m) * pow(-i, p - 1 - m, p)) % p
                 if c:
                     part = self.add(part, self.scale(c, iterates[m]))
             parts.append(part)
         return AdComponents(tuple(parts))
 
 
-def _surely_zero(c):
-    """Zero test safe for grid bookkeeping: only exact zeros are dropped."""
-    if hasattr(c, "_surely_zero"):
-        return c._surely_zero()
-    return c.is_zero()
-
-
-def _zero_at_precision(c):
-    """True when the scalar is zero as far as its window certifies: exact
-    zero for rational functions, empty stored terms for Laurent scalars."""
-    if hasattr(c, "terms"):
-        return not c.terms
-    return c.is_zero()
-
-
 class AlgElement:
-    """Element of a symbol algebra as an immutable p x p coefficient grid."""
+    """Element of a symbol algebra, immutable: ``entries`` maps (i, j) to
+    the coefficient of x^i y^j.  Exact zeros are never stored; an inexact
+    Laurent coefficient with no certified terms is."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra", "entries")
 
-    def __init__(self, algebra, coeffs):
+    def __init__(self, algebra, entries):
         self.algebra = algebra
-        self.coeffs = coeffs
+        self.entries = entries
 
     def coeff(self, i, j):
-        return self.coeffs[i][j]
+        return self.entries.get((i, j), self.algebra._zero)
 
     def support(self):
-        out = []
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if not _surely_zero(c):
-                    out.append(((i, j), c))
-        return out
+        """The stored ((i, j), coefficient) pairs, row-major."""
+        return sorted(self.entries.items())
 
     def is_zero(self):
-        return not self.support()
+        return not self.entries
 
     def is_scalar(self):
         """The coefficient of 1 when the element lies in F*1, else None."""
-        for (i, j), _ in self.support():
-            if (i, j) != (0, 0):
-                return None
-        return self.coeffs[0][0]
+        if any(ij != (0, 0) for ij in self.entries):
+            return None
+        return self.coeff(0, 0)
 
     # operators -----------------------------------------------------------
     def _coerce(self, other):
@@ -491,10 +439,10 @@ class AlgElement:
             other = self.algebra.scalar(other)
         if not isinstance(other, AlgElement):
             return NotImplemented
-        return self.algebra == other.algebra and self.coeffs == other.coeffs
+        return self.algebra == other.algebra and self.entries == other.entries
 
     def __hash__(self):
-        return hash((self.algebra, self.coeffs))
+        return hash((self.algebra, frozenset(self.entries.items())))
 
     # printing ----------------------------------------------------------------
     def __str__(self):
@@ -507,11 +455,11 @@ class AlgElement:
                 xy.append("y" if j == 1 else f"y^{j}")
             cs = str(c)
             if not xy:
-                parts.append(f"({cs})" if _scalar_is_sum(c) else cs)
+                parts.append(f"({cs})" if c._is_sum() else cs)
                 continue
             if cs == "1":
                 parts.append("*".join(xy))
-            elif _scalar_is_sum(c):
+            elif c._is_sum():
                 parts.append("*".join([f"({cs})"] + xy))
             else:
                 parts.append("*".join([cs] + xy))
@@ -519,10 +467,6 @@ class AlgElement:
 
     def __repr__(self):
         return f"AlgElement({self.algebra}, {self})"
-
-
-def _scalar_is_sum(c):
-    return c._is_sum() if hasattr(c, "_is_sum") else False
 
 
 @dataclass(frozen=True)

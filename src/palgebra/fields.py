@@ -19,6 +19,7 @@ PrecisionExhausted instead of guessing.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -77,13 +78,12 @@ class RatFunc:
     def const(cls, p, c):
         return cls(p, polys.p_const(c, p), _canonical=True)
 
-    @classmethod
-    def gen(cls, p, name):
-        return cls(p, polys.p_gen(name), _canonical=True)
-
     # predicates -----------------------------------------------------------
     def is_zero(self):
         return not self.num
+
+    # rational functions are exact, so every zero test is certain
+    _surely_zero = _certified_zero = is_zero
 
     def is_poly(self):
         return polys.p_is_one(self.den)
@@ -180,14 +180,7 @@ class RatFunc:
     def __pow__(self, n):
         if n < 0:
             return RatFunc.one(self.p) / self ** (-n)
-        out = RatFunc.one(self.p)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return polys.power(self, n, RatFunc.one(self.p), operator.mul)
 
     def frobenius(self):
         p = self.p
@@ -281,10 +274,6 @@ class LaurentScalar:
         return cls(p, prec, {(0, 0): c % p})
 
     @classmethod
-    def gen(cls, p, prec, name):
-        return cls(p, prec, {(1, 0) if name == "a" else (0, 1): 1})
-
-    @classmethod
     def monomial(cls, p, prec, ea, eb, c=1):
         return cls(p, prec, {(ea, eb): c % p})
 
@@ -304,6 +293,10 @@ class LaurentScalar:
 
     def _surely_zero(self):
         return not self.terms and self.exact
+
+    def _certified_zero(self):
+        """Zero as far as the window certifies: no stored terms."""
+        return not self.terms
 
     def _is_sum(self):
         return len(self.terms) > 1 or not self.exact
@@ -476,14 +469,7 @@ class LaurentScalar:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        out = LaurentScalar.one(self.p, self.prec)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return polys.power(self, n, LaurentScalar.one(self.p, self.prec), operator.mul)
 
     def frobenius(self):
         return LaurentScalar(
@@ -629,25 +615,24 @@ class FieldDescriptor:
             raise ValueError("precision must be positive")
 
     # scalar factories -------------------------------------------------------
-    def zero(self):
+    def from_terms(self, terms):
+        """The polynomial sum of c * a^i * b^j over a map (i, j) -> c with
+        every c in 1..p-1, as a scalar of this field."""
         if self.kind == "rational":
-            return RatFunc.zero(self.prime)
-        return LaurentScalar.zero(self.prime, self.precision)
+            return RatFunc(self.prime, terms, _canonical=True)
+        return LaurentScalar(self.prime, self.precision, terms)
+
+    def zero(self):
+        return self.from_terms({})
 
     def one(self):
-        if self.kind == "rational":
-            return RatFunc.one(self.prime)
-        return LaurentScalar.one(self.prime, self.precision)
+        return self.from_terms(dict(polys.P_ONE))
 
     def from_int(self, c):
-        if self.kind == "rational":
-            return RatFunc.const(self.prime, c)
-        return LaurentScalar.const(self.prime, self.precision, c)
+        return self.from_terms(polys.p_const(c, self.prime))
 
     def gen(self, name):
-        if self.kind == "rational":
-            return RatFunc.gen(self.prime, name)
-        return LaurentScalar.gen(self.prime, self.precision, name)
+        return self.from_terms(polys.p_gen(name))
 
     def owns(self, scalar):
         if self.kind == "rational":

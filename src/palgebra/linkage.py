@@ -43,12 +43,14 @@ class SymbolPresentation:
 
 @dataclass(frozen=True)
 class LinkageWitness:
-    """A generator pair certifying a presentation of its algebra."""
+    """A generator pair certifying a presentation of its algebra, with the
+    conjugate w z w^(-1) the engine computed (checked against z + 1)."""
 
     z: AlgElement
     w: AlgElement
     claimed_left: object
     claimed_right: object
+    conjugation: AlgElement
 
     def to_dict(self):
         return {
@@ -125,7 +127,7 @@ def verify_presentation(A: SymbolAlgebra, z: AlgElement, w: AlgElement) -> Linka
     right = A.power(w, A.p).is_scalar()
     if right is None:
         raise RelationFails("w^p lies in the base field")
-    return LinkageWitness(z=z, w=w, claimed_left=left, claimed_right=right)
+    return LinkageWitness(z=z, w=w, claimed_left=left, claimed_right=right, conjugation=conj)
 
 
 def chain_identity(pres: SymbolPresentation):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import AlgElement
 from .errors import ExprSyntaxError
 
 
@@ -190,5 +191,5 @@ def parse_element(text, algebra, env=None):
     }
     if env:
         for name, value in env.items():
-            atoms[name] = value if hasattr(value, "algebra") else algebra.scalar(value)
+            atoms[name] = value if isinstance(value, AlgElement) else algebra.scalar(value)
     return _Parser(text, atoms, lambda n: algebra.scalar(field.from_int(n))).parse()

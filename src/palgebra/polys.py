@@ -31,6 +31,19 @@ def inv_mod(c: int, p: int) -> int:
     return pow(c % p, p - 2, p)
 
 
+def power(base, n, one, mul):
+    """base^n for n >= 0 by repeated squaring, in any ring given by its
+    identity and product; no square is taken past the top bit of n."""
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # univariate helpers (used by the bivariate gcd, recursive in b over F_p[a])
 # ---------------------------------------------------------------------------
@@ -283,15 +296,7 @@ def _rec_sub(f, g, p):
 
 
 def _u_pow(f, n, p):
-    out = {0: 1}
-    base = f
-    while n:
-        if n & 1:
-            out = u_mul(out, base, p)
-        if n > 1:
-            base = u_mul(base, base, p)
-        n >>= 1
-    return out
+    return power(f, n, {0: 1}, lambda g, h: u_mul(g, h, p))
 
 
 def _prem_b(F, G, p):
@@ -398,9 +403,9 @@ def p_div_exact(f, g, p):
 # printing
 # ---------------------------------------------------------------------------
 
-def _format_monomial(ea, eb, c, constant_one=True):
+def _format_monomial(ea, eb, c):
     parts = []
-    if c != 1 or (ea == 0 and eb == 0 and constant_one):
+    if c != 1 or (ea == 0 and eb == 0):
         parts.append(str(c))
     if ea:
         parts.append("a" if ea == 1 else f"a^{ea}")

@@ -7,7 +7,7 @@ coefficients are kept small: the engine is exact, so size only costs time.
 
 from __future__ import annotations
 
-from .fields import LaurentScalar, RatFunc, frobenius
+from .fields import frobenius
 from .linkage import solve_lambda
 
 
@@ -22,20 +22,13 @@ def random_poly_scalar(rng, field, max_degree=2, max_terms=3, nonzero=False):
             terms[m] = (terms.get(m, 0) + c) % p
         terms = {m: c for m, c in terms.items() if c}
         if terms or not nonzero:
-            break
-    if field.kind == "rational":
-        return RatFunc(p, terms, _canonical=True)
-    return LaurentScalar(p, field.precision, terms)
+            return field.from_terms(terms)
 
 
 def random_monomial_scalar(rng, field, max_degree=2):
     """Random nonzero monomial c * a^i * b^j."""
-    p = field.prime
     m = (rng.randint(0, max_degree), rng.randint(0, max_degree))
-    c = rng.randrange(1, p)
-    if field.kind == "rational":
-        return RatFunc(p, {m: c}, _canonical=True)
-    return LaurentScalar(p, field.precision, {m: c})
+    return field.from_terms({m: rng.randrange(1, field.prime)})
 
 
 def random_rational_function(rng, field, max_degree=2):
@@ -50,8 +43,9 @@ def random_rational_function(rng, field, max_degree=2):
 
 
 def random_element(rng, algebra, density=0.35, scalar_sampler=None):
-    """Random algebra element; each grid entry is filled with the given
-    probability. Density is kept low so property tests stay fast at p=5."""
+    """Random algebra element; each of the p^2 basis coefficients is drawn
+    with the given probability. Density is kept low so property tests stay
+    fast at p=5."""
     sample = scalar_sampler or (lambda r: random_poly_scalar(r, algebra.field, max_degree=1, max_terms=2))
     entries = {}
     p = algebra.p

@@ -1,8 +1,14 @@
-"""Shared helpers for the test suite: a sampler and the dense inverse oracle."""
+"""Shared helpers for the test suite: the source path, a sampler and the
+dense inverse oracle."""
+
+from pathlib import Path
 
 from palgebra import NotInvertible, WitnessVerificationFailed
-from palgebra.algebra import _surely_zero
 from palgebra.sampling import random_poly_scalar
+
+# subprocesses run ``python -m palgebra.cli`` from here, so they import this
+# checkout's package whatever PYTHONPATH says
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def random_poly_element(rng, A, density=0.3, max_degree=1, max_terms=2):
@@ -37,11 +43,11 @@ def inverse_dense(A, t):
     kind, vec = _solve_or_null(mt, rhs, zero, one)
     if kind == "null":
         witness = A.from_entries(
-            {divmod(m, p): c for m, c in enumerate(vec) if not _surely_zero(c)}
+            {divmod(m, p): c for m, c in enumerate(vec) if not c._surely_zero()}
         )
         raise NotInvertible("element is a zero divisor", witness=witness)
     s = A.from_entries(
-        {divmod(m, p): c for m, c in enumerate(vec) if not _surely_zero(c)}
+        {divmod(m, p): c for m, c in enumerate(vec) if not c._surely_zero()}
     )
     if not (
         A.certified_equal(A.mul(s, t), A.one())
@@ -64,7 +70,7 @@ def _solve_or_null(matrix, rhs, zero, one):
     for col in range(n):
         piv = None
         for r in range(row, n):
-            if not _surely_zero(m[r][col]):
+            if not m[r][col]._surely_zero():
                 piv = r
                 break
         if piv is None:
@@ -73,7 +79,7 @@ def _solve_or_null(matrix, rhs, zero, one):
         inv = one / m[row][col]
         m[row] = [inv * v for v in m[row]]
         for r in range(n):
-            if r != row and not _surely_zero(m[r][col]):
+            if r != row and not m[r][col]._surely_zero():
                 f = m[r][col]
                 m[r] = [v - f * w for v, w in zip(m[r], m[row])]
         pivot_of_col[col] = row

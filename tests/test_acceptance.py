@@ -27,7 +27,7 @@ from palgebra.sampling import (
     random_poly_scalar,
 )
 
-from support import random_poly_element
+from support import SRC, random_poly_element
 
 PRIMES = (2, 3, 5)
 GOLDENS = Path(__file__).parent / "goldens"
@@ -207,6 +207,7 @@ def test_criterion_8_cli_goldens():
             [sys.executable, "-m", "palgebra.cli", *argv],
             capture_output=True,
             text=True,
+            cwd=SRC,
         )
         assert proc.returncode == 0
         assert proc.stdout.encode() == (GOLDENS / fname).read_bytes()

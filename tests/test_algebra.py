@@ -34,6 +34,26 @@ def rational_algebra(p):
 
 # --- construction -----------------------------------------------------------
 
+@pytest.mark.parametrize("key", [(3, 0), (0, 3), (-1, 0), (0, -1)])
+def test_from_entries_rejects_exponents_outside_range(key):
+    A = rational_algebra(3)
+    with pytest.raises(ValueError, match="must lie in"):
+        A.from_entries({key: 1})
+
+
+def test_elements_do_not_depend_on_entry_order_or_explicit_zeros():
+    A = rational_algebra(3)
+    a = A.field.gen("a")
+    terms = [((2, 1), a), ((0, 0), 2), ((1, 2), a + 1), ((0, 1), 1)]
+    s = A.from_entries(dict(terms))
+    t = A.from_entries(dict(reversed(terms)) | {(2, 2): 0, (1, 0): A.field.zero()})
+    assert s == t
+    assert hash(s) == hash(t)
+    assert str(s) == str(t) == "2 + y + (a + 1)*x*y^2 + a*x^2*y"
+    assert A.from_entries({(1, 1): 0}) == A.zero()
+    assert A.from_entries({(1, 1): 0}).is_zero()
+
+
 def test_make_algebra_validates_slot_and_prime():
     field = FieldDescriptor("rational", 2)
     with pytest.raises(InvalidSlot):
@@ -196,6 +216,38 @@ def test_inverse_round_trip_random(p):
         done += 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_laurent_inverse_matches_exact_inverse_inside_window(p):
+    # the exact inverse over F_p(a, b) is the oracle for window soundness:
+    # each coefficient num/den, expanded as L(num)/L(den), must agree with
+    # the Laurent engine's inverse on every term either window certifies
+    rat = FieldDescriptor("rational", p)
+    R = make_algebra(p, rat.one(), rat.gen("a"), rat)
+    compared = 0
+    for window in (3, 6, 8):
+        lau = FieldDescriptor("laurent", p, window)
+        L = make_algebra(p, lau.one(), lau.gen("a"), lau)
+        rng = random.Random(1000 * p + window)
+        done = 0
+        while done < 8:
+            u = random_fx_element(rng, R)
+            t = R.mul(u, R.power(R.y(), rng.randrange(1, p)))
+            try:
+                exact = R.inverse(t)
+            except NotInvertible:
+                continue
+            tl = L.from_entries({ij: lau.from_terms(c.num) for ij, c in t.entries.items()})
+            approx = L.inverse(tl)
+            done += 1
+            for i in range(p):
+                for j in range(p):
+                    c = exact.coeff(i, j)
+                    want = lau.zero() if c.is_zero() else lau.from_terms(c.num) / lau.from_terms(c.den)
+                    assert (approx.coeff(i, j) - want)._certified_zero(), (window, i, j)
+                    compared += 1
+    assert compared == 3 * 8 * p * p
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_inverse_agrees_with_dense_reference(p):
     # the minimal-dependency inverse and the p^2 x p^2 right-multiplication
@@ -329,7 +381,7 @@ def test_ad_decompose_requires_artin_schreier():
         A.ad_decompose(A.x(), A.y())
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_ad_decompose_reconstructs_and_eigen(p):
     A = rational_algebra(p)
     rng = random.Random(55 + p)

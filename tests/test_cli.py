@@ -11,6 +11,8 @@ import pytest
 
 from palgebra.cli import main
 
+from support import SRC
+
 GOLDENS = Path(__file__).parent / "goldens"
 
 
@@ -81,6 +83,15 @@ def test_decompose_verb(capsys):
     assert "result: PASS" in out
 
 
+def test_eval_at_a_large_prime(capsys):
+    # elements store only their nonzero coefficients, so p = 10007 does not
+    # build a p x p grid
+    code, out, _ = run(capsys, "eval", "-p", "10007", "--alpha", "a", "--beta", "b",
+                       "--expr", "x*y")
+    assert code == 0
+    assert "normal_form = x*y" in out
+
+
 def test_laurent_field_eval(capsys):
     code, out, _ = run(capsys, "eval", "-p", "2", "--field", "laurent", "--precision", "4",
                        "--alpha", "1", "--beta", "a", "--expr", "1/(1-b)")
@@ -103,6 +114,35 @@ def test_json_output_matches_text_fields(capsys):
                              "--beta", "b")
     assert "lambda = 0" in text_out
     assert "common_left = a*b + a" in text_out
+
+
+def test_json_conjugation_checks_carry_computed_elements(capsys):
+    code, out, _ = run(capsys, "link", "-p", "2", "--alpha", "a", "--gamma", "a+a*b",
+                       "--beta", "b", "--json")
+    assert code == 0
+    checks = {chk["relation"]: chk for chk in json.loads(out)["checks"]}
+    assert checks["w z w^-1 = z + 1 in A"]["expected"] == "1 + x + x*y"
+    assert checks["w z w^-1 = z + 1 in A"]["computed"] == "1 + x + x*y"
+    assert checks["y' z' y'^-1 = z' + 1 in A'"]["computed"] == "1 + x"
+    code, out, _ = run(capsys, "identity", "-p", "3", "--alpha", "a", "--beta", "b", "--json")
+    chk = json.loads(out)["checks"][-1]
+    assert (chk["expected"], chk["computed"], chk["pass"]) == ("1 + y + x", "1 + y + x", True)
+
+
+def test_laurent_conjugation_check_is_certified_not_textual(capsys):
+    # the computed conjugate carries window remainders, so its text differs
+    # from x + 1; the check passes because every certified term agrees
+    argv = ["scale", "-p", "3", "--alpha", "1", "--beta", "a", "--u", "1 + a*x",
+            "--field", "laurent", "--precision", "5"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    chk = json.loads(out)["checks"][-1]
+    assert chk["relation"] == "(u y) x (u y)^-1 = x + 1"
+    assert chk["expected"] == "1 + x"
+    assert "O(a^5)" in chk["computed"]
+    assert chk["pass"]
+    code, out, _ = run(capsys, *argv)
+    assert "check (u y) x (u y)^-1 = x + 1: PASS" in out
 
 
 def test_json_key_order_stable(capsys):
@@ -135,7 +175,7 @@ def test_deep_nesting_exit_2(capsys):
     proc = subprocess.run(
         [sys.executable, "-m", "palgebra.cli", "eval", "-p", "3",
          "--alpha", "(" * 3000 + "a" + ")" * 3000, "--beta", "b", "--expr", "x"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, cwd=SRC,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
