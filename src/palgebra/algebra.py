@@ -12,6 +12,13 @@ powers of x (y^j x^c = (x+j)^c y^j, expanded binomially), then reducing
 x-degrees of p and above through x^p = x + alpha, then y-degrees through
 y^p = beta.  The expansions of all basis-monomial products are cached per
 algebra; elements and handles are immutable.
+
+Products run on numerators over one denominator: each operand is written
+as an element with polynomial coefficients over the lcm of its
+coefficients' denominators, the numerators are multiplied with polynomial
+arithmetic alone, and each output coefficient is divided once by the
+product of the two denominators.  Canonical rational forms are unique, so
+the result is the same as reducing every scalar product and partial sum.
 """
 
 from __future__ import annotations
@@ -144,12 +151,48 @@ class SymbolAlgebra:
         self._cache[key] = expansion
         return expansion
 
+    def _over_common_denominator(self, t):
+        """(numerators, d) with t = numerators / d: every numerator is a
+        polynomial and d is the lcm of the coefficients' denominators.
+        (t.entries, None) when no coefficient has a denominator."""
+        entries = t.entries
+        for c in entries.values():
+            if c._denominator() is not None:
+                break
+        else:
+            return entries, None
+        dens = {ij: c._denominator() for ij, c in entries.items()}
+        common = self._one
+        cofactor = {}  # each distinct denominator e -> common / e
+        for e in dens.values():
+            if e is None or e in cofactor:
+                continue
+            # e / common = (e / g) / (common / g) for g = gcd(e, common): the
+            # lcm grows by e / g and the cofactor of e is common / g
+            q = e / common
+            rest = q._denominator()
+            grow = q if rest is None else q * rest
+            common = common * grow
+            for f in cofactor:
+                cofactor[f] = cofactor[f] * grow
+            cofactor[e] = self._one if rest is None else rest
+        numerators = {}
+        for ij, c in entries.items():
+            e = dens[ij]
+            # c * e cancels c's own denominator, which takes no gcd
+            numerators[ij] = c * common if e is None else c * e * cofactor[e]
+        return numerators, common
+
     def mul(self, s, t):
         self._check(s)
         self._check(t)
+        # multiply numerators, which needs no gcd, then divide each output
+        # coefficient once by the product of the two denominators
+        s_num, s_den = self._over_common_denominator(s)
+        t_num, t_den = self._over_common_denominator(t)
         acc = {}
-        for (i1, j1), c1 in s.entries.items():
-            for (i2, j2), c2 in t.entries.items():
+        for (i1, j1), c1 in s_num.items():
+            for (i2, j2), c2 in t_num.items():
                 c12 = c1 * c2
                 for ij, k in self._basis_product(i1, j1, i2, j2):
                     # a sum starts from its first term, not from an exact
@@ -157,7 +200,12 @@ class SymbolAlgebra:
                     # which are tighter than min(0, .) and still sound
                     term = c12 * k
                     acc[ij] = acc[ij] + term if ij in acc else term
-        return self._grid(acc)
+        if s_den is None and t_den is None:
+            return self._grid(acc)
+        den = t_den if s_den is None else s_den if t_den is None else s_den * t_den
+        # with rational slots a coefficient k of a basis product, and so a
+        # sum, can carry a denominator of its own; the division reduces it too
+        return self._grid({ij: c / den for ij, c in acc.items()})
 
     def add(self, s, t):
         self._check(s)

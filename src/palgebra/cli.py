@@ -7,18 +7,26 @@ report with one verification line per checked relation; --json emits the
 same data as a machine-readable object with fixed key order.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
-input-syntax error.
+input error: malformed syntax, a zero right slot, or a division by zero or
+by a zero divisor inside an input expression.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import make_algebra
-from .errors import ExprSyntaxError, PAlgebraError
+from .errors import (
+    DivisionByZero,
+    ExprSyntaxError,
+    InvalidSlot,
+    NotInvertible,
+    PAlgebraError,
+)
 from .fields import FieldDescriptor
 from .linkage import (
     SymbolPresentation,
@@ -157,6 +165,22 @@ def _field_from_args(args):
     return FieldDescriptor("rational", args.p)
 
 
+@contextlib.contextmanager
+def _reading_input():
+    """Input that names no value (a division by zero or by a zero divisor,
+    or a zero right slot) is a usage error, exit 2; the library reports it
+    as failed mathematics, exit 1."""
+    try:
+        yield
+    except (DivisionByZero, NotInvertible, InvalidSlot) as exc:
+        raise ValueError(f"{type(exc).__name__}: {exc}") from exc
+
+
+def _element(text, algebra, env):
+    with _reading_input():
+        return parse_element(text, algebra, env)
+
+
 def _bindings(args, field):
     env = {}
     for item in args.let:
@@ -172,8 +196,11 @@ def _parse_inputs(args, slots=("alpha", "beta")):
     bindings and the slot flags, parsed in that order, and a report whose
     inputs start with p, the field and the slots."""
     fieldd = _field_from_args(args)
-    env = _bindings(args, fieldd)
-    values = [parse_scalar(getattr(args, slot), fieldd, env) for slot in slots]
+    with _reading_input():
+        env = _bindings(args, fieldd)
+        values = [parse_scalar(getattr(args, slot), fieldd, env) for slot in slots]
+        if values[slots.index("beta")].is_zero():
+            raise InvalidSlot("the right slot must be nonzero")
     inputs = {"p": args.p, "field": str(fieldd)}
     inputs.update((slot, str(value)) for slot, value in zip(slots, values))
     return fieldd, env, values, Report(args.verb, inputs)
@@ -211,8 +238,8 @@ def _cmd_link(args):
 def _cmd_verify_lemma(args):
     fieldd, env, (alpha, beta), report = _parse_inputs(args)
     A = make_algebra(args.p, alpha, beta, fieldd)
-    x_el = parse_element(args.x, A, env)
-    t_el = parse_element(args.t, A, env)
+    x_el = _element(args.x, A, env)
+    t_el = _element(args.t, A, env)
     report.inputs.update(x=str(x_el), t=str(t_el))
     lem = verify_lemma(A, x_el, t_el)
     report.results["k"] = lem.k
@@ -225,7 +252,7 @@ def _cmd_verify_lemma(args):
 def _cmd_decompose(args):
     fieldd, env, (alpha, beta), report = _parse_inputs(args)
     A = make_algebra(args.p, alpha, beta, fieldd)
-    t = parse_element(args.t, A, env)
+    t = _element(args.t, A, env)
     report.inputs["t"] = str(t)
     comps = A.ad_decompose(t, A.x())
     for i, part in enumerate(comps):
@@ -253,7 +280,7 @@ def _cmd_scale(args):
     fieldd, env, (alpha, beta), report = _parse_inputs(args)
     pres = SymbolPresentation(alpha, beta, args.p, fieldd)
     A = pres.to_algebra()
-    u = parse_element(args.u, A, env)
+    u = _element(args.u, A, env)
     report.inputs["u"] = str(u)
     norm = A.norm_Fx(u)
     new_pres, witness = scale_slot_by_norm(pres, u)
@@ -293,7 +320,7 @@ def _cmd_counterexample(args):
 def _cmd_eval(args):
     fieldd, env, (alpha, beta), report = _parse_inputs(args)
     A = make_algebra(args.p, alpha, beta, fieldd)
-    el = parse_element(args.expr, A, env)
+    el = _element(args.expr, A, env)
     report.inputs["expr"] = args.expr
     report.results["normal_form"] = str(el)
     return report

@@ -54,15 +54,8 @@ class RatFunc:
             self.num, self.den = {}, dict(polys.P_ONE)
             return
         if not _canonical and not polys.p_is_one(den):
-            g = polys.p_gcd(num, den, p)
-            if not polys.p_is_one(g):
-                num = polys.p_div_exact(num, g, p)
-                den = polys.p_div_exact(den, g, p)
-            lc = polys.p_lc(den)
-            if lc != 1:
-                inv = polys.inv_mod(lc, p)
-                num = polys.p_scale(num, inv, p)
-                den = polys.p_scale(den, inv, p)
+            num, den = _cancel(num, den, p)
+            num, den = _monic_den(num, den, p)
         self.num, self.den = num, den
 
     # constructors ---------------------------------------------------------
@@ -90,6 +83,12 @@ class RatFunc:
 
     def _is_sum(self):
         return self.is_poly() and len(self.num) > 1
+
+    def _denominator(self):
+        """The denominator as a polynomial scalar, None for a polynomial."""
+        if polys.p_is_one(self.den):
+            return None
+        return RatFunc(self.p, self.den, _canonical=True)
 
     # arithmetic -----------------------------------------------------------
     def _coerce(self, other):
@@ -141,24 +140,9 @@ class RatFunc:
         if self.is_poly() and other.is_poly():
             return RatFunc(p, polys.p_mul(self.num, other.num, p), _canonical=True)
         # cross-reduce so the product needs no further gcd
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if not polys.p_is_one(d2):
-            g1 = polys.p_gcd(n1, d2, p)
-            if not polys.p_is_one(g1):
-                n1 = polys.p_div_exact(n1, g1, p)
-                d2 = polys.p_div_exact(d2, g1, p)
-        if not polys.p_is_one(d1):
-            g2 = polys.p_gcd(n2, d1, p)
-            if not polys.p_is_one(g2):
-                n2 = polys.p_div_exact(n2, g2, p)
-                d1 = polys.p_div_exact(d1, g2, p)
-        num = polys.p_mul(n1, n2, p)
-        den = polys.p_mul(d1, d2, p)
-        lc = polys.p_lc(den)
-        if lc != 1:
-            inv = polys.inv_mod(lc, p)
-            num = polys.p_scale(num, inv, p)
-            den = polys.p_scale(den, inv, p)
+        n1, d2 = _cancel(self.num, other.den, p)
+        n2, d1 = _cancel(other.num, self.den, p)
+        num, den = _monic_den(polys.p_mul(n1, n2, p), polys.p_mul(d1, d2, p), p)
         return RatFunc(p, num, den, _canonical=True)
 
     __rmul__ = __mul__
@@ -169,7 +153,10 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by zero rational function")
-        return self * RatFunc(other.p, other.den, other.num)
+        # a canonical numerator and denominator are coprime, so the
+        # reciprocal needs no gcd
+        num, den = _monic_den(other.den, other.num, other.p)
+        return self * RatFunc(other.p, num, den, _canonical=True)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -220,6 +207,28 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc(p={self.p}, {self})"
+
+
+def _cancel(n, d, p):
+    """n / g and d / g for g = gcd(n, d); a numerator equal to the
+    denominator cancels with no gcd."""
+    if polys.p_is_one(d):
+        return n, d
+    if n == d:
+        return dict(polys.P_ONE), dict(polys.P_ONE)
+    g = polys.p_gcd(n, d, p)
+    if polys.p_is_one(g):
+        return n, d
+    return polys.p_div_exact(n, g, p), polys.p_div_exact(d, g, p)
+
+
+def _monic_den(num, den, p):
+    """num and den scaled so that den is monic."""
+    lc = polys.p_lc(den)
+    if lc == 1:
+        return num, den
+    inv = polys.inv_mod(lc, p)
+    return polys.p_scale(num, inv, p), polys.p_scale(den, inv, p)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +306,10 @@ class LaurentScalar:
     def _certified_zero(self):
         """Zero as far as the window certifies: no stored terms."""
         return not self.terms
+
+    def _denominator(self):
+        """A series has no denominator to clear."""
+        return None
 
     def _is_sum(self):
         return len(self.terms) > 1 or not self.exact

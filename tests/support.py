@@ -1,5 +1,5 @@
-"""Shared helpers for the test suite: the source path, a sampler and the
-dense inverse oracle."""
+"""Shared helpers for the test suite: the source path, a sampler, the
+per-coefficient product oracle and the dense inverse oracle."""
 
 from pathlib import Path
 
@@ -21,6 +21,21 @@ def random_poly_element(rng, A, density=0.3, max_degree=1, max_terms=2):
                 if not c.is_zero():
                     entries[(i, j)] = c
     return A.from_entries(entries)
+
+
+# --- reference path: products reduced term by term --------------------------
+# The product as SymbolAlgebra.mul formed it before it cleared denominators:
+# every scalar product and partial sum is a reduced scalar.
+
+def mul_reference(A, s, t):
+    acc = {}
+    for (i1, j1), c1 in s.entries.items():
+        for (i2, j2), c2 in t.entries.items():
+            c12 = c1 * c2
+            for ij, k in A._basis_product(i1, j1, i2, j2):
+                term = c12 * k
+                acc[ij] = acc[ij] + term if ij in acc else term
+    return A.from_entries(acc)
 
 
 # --- reference path: dense solve over the base field -----------------------

@@ -184,10 +184,34 @@ def test_deep_nesting_exit_2(capsys):
 
 
 def test_math_failure_exit_1(capsys):
-    # beta = 0 is an invalid slot: a mathematical error, not a usage one
+    # beta = 0 names no algebra: the input is at fault, not the mathematics,
+    # so it is a usage error (exit 2) that still names InvalidSlot
     code, _, err = run(capsys, "identity", "-p", "2", "--alpha", "a", "--beta", "a-a")
-    assert code == 1
+    assert code == 2
     assert "InvalidSlot" in err
+
+
+def test_zero_right_slot_on_link_exit_2(capsys):
+    code, out, err = run(capsys, "link", "-p", "3", "--alpha", "a", "--gamma", "a+b",
+                         "--beta", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "palgebra: invalid input: InvalidSlot: the right slot must be nonzero\n"
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["identity", "-p", "3", "--alpha", "1/(a-a)", "--beta", "b"], "DivisionByZero"),
+    (["eval", "-p", "3", "--alpha", "a", "--beta", "b", "--let", "q=b/(b-b)", "--expr", "x"],
+     "DivisionByZero"),
+    (["eval", "-p", "3", "--alpha", "a", "--beta", "b", "--expr", "1/(x-x)"], "NotInvertible"),
+    # [0, 1)_2 is split: 1 + x is a zero divisor there
+    (["eval", "-p", "2", "--alpha", "0", "--beta", "1", "--expr", "y/(1+x)"], "NotInvertible"),
+])
+def test_division_by_zero_in_input_exit_2(capsys, argv, cause):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"palgebra: invalid input: {cause}: ")
 
 
 def test_degenerate_link_exit_1(capsys):

@@ -17,6 +17,7 @@ from palgebra import (
     Value,
     ZeroValue,
     frobenius,
+    parse_scalar,
     valuation,
 )
 from palgebra.fields import INF
@@ -187,6 +188,31 @@ def test_window_shrinks_through_products():
     assert shifted.terms == {(0, j): 1 for j in range(1, 6)}
     # multiplying by an exact zero collapses to the exact zero
     assert (inv * field.zero())._surely_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_laurent_expression_matches_exact_value_inside_window(p):
+    # the exact value over F_p(a, b), expanded into the window as
+    # L(num)/L(den), is the oracle for window soundness: the Laurent value
+    # of the same text must agree with it on every term the window certifies
+    rat = FieldDescriptor("rational", p)
+    for window in (3, 6):
+        lau = FieldDescriptor("laurent", p, window)
+        rng = random.Random(100 * p + window)
+        done = 0
+        while done < 120:
+            f, g, h = (random_poly_scalar(rng, rat, max_degree=2) for _ in range(3))
+            if g.is_zero():
+                continue
+            text = f"({f})/({g}) + {h}"
+            exact = parse_scalar(text, rat)
+            approx = parse_scalar(text, lau)
+            want = lau.zero() if exact.is_zero() else (
+                lau.from_terms(exact.num) / lau.from_terms(exact.den))
+            assert (approx - want)._certified_zero(), (window, text)
+            # the window certifies a nonempty box of terms
+            assert approx.ha > approx.la and approx.hb > approx.lb
+            done += 1
 
 
 def test_laurent_zero_division_and_precision_errors():
