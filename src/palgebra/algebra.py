@@ -255,44 +255,34 @@ class SymbolAlgebra:
         In a central simple algebra of degree p every element satisfies a
         monic polynomial of degree at most p over the center, so the powers
         1, t, ..., t^p are linearly dependent.  The minimal dependency is
-        found by incremental elimination over the base field; a nonzero
-        constant term inverts t, a zero constant term hands back the
-        dependency tail as a zero-divisor witness.  The result is verified
-        by multiplication on both sides.
+        found by forward elimination: each power is a row, reduced against
+        the earlier rows in the order they were added, each row's pivot
+        being its smallest monomial.  A nonzero constant term inverts t, a
+        zero constant term hands back the dependency tail as a zero-divisor
+        witness.  The result is verified by multiplication on both sides.
         """
         self._check(t)
         p = self.p
-        n = p * p
         zero, one = self._zero, self._one
-        basis = []  # (pivot_col, row, history) rows in reduced echelon state
+        basis = []  # (pivot, row, history) with row = sum(history[m] * t^m)
         powers = [self.one()]
-        cur = self.one()
         for k in range(p + 1):
             if k:
-                cur = self.mul(cur, t)
-                powers.append(cur)
-            row = [cur.coeff(i, j) for i in range(p) for j in range(p)]
+                powers.append(self.mul(powers[-1], t))
+            row = powers[k]
             hist = [one if m == k else zero for m in range(p + 1)]
-            for pc, brow, bhist in basis:
-                f = row[pc]
+            # each basis row vanishes at the pivots of the rows before it, so
+            # one pass in insertion order clears every pivot
+            for piv, brow, bhist in basis:
+                f = row.coeff(*piv)
                 if not f._surely_zero():
-                    row = [a - f * b for a, b in zip(row, brow)]
+                    row = self.sub(row, self.scale(f, brow))
                     hist = [a - f * b for a, b in zip(hist, bhist)]
-            piv = next((c for c in range(n) if not row[c]._surely_zero()), None)
-            if piv is None:
+            if row.is_zero():
                 return self._resolve_dependency(t, powers, hist)
-            inv = one / row[piv]
-            row = [inv * v for v in row]
-            hist = [inv * v for v in hist]
-            for idx, (pc, brow, bhist) in enumerate(basis):
-                f = brow[piv]
-                if not f._surely_zero():
-                    basis[idx] = (
-                        pc,
-                        [a - f * b for a, b in zip(brow, row)],
-                        [a - f * b for a, b in zip(bhist, hist)],
-                    )
-            basis.append((piv, row, hist))
+            piv = min(row.entries)
+            inv = one / row.entries[piv]
+            basis.append((piv, self.scale(inv, row), [inv * v for v in hist]))
         raise WitnessVerificationFailed("powers 1..t^p were independent")
 
     def _resolve_dependency(self, t, powers, coeffs):

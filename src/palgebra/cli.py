@@ -7,8 +7,8 @@ report with one verification line per checked relation; --json emits the
 same data as a machine-readable object with fixed key order.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
-input error: malformed syntax, a zero right slot, or a division by zero or
-by a zero divisor inside an input expression.
+input error: malformed syntax, a -p that is not prime, a zero right slot,
+or a division by zero or by a zero divisor inside an input expression.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .algebra import make_algebra
 from .errors import (
     DivisionByZero,
     ExprSyntaxError,
+    InvalidPrime,
     InvalidSlot,
     NotInvertible,
     PAlgebraError,
@@ -347,6 +348,10 @@ def main(argv=None):
         report = _HANDLERS[args.verb](args)
     except ExprSyntaxError as exc:
         print(f"palgebra: syntax error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    except InvalidPrime as exc:
+        # every verb takes its prime from -p, so a non-prime is bad input
+        print(f"palgebra: invalid input: InvalidPrime: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except PAlgebraError as exc:
         print(f"palgebra: {type(exc).__name__}: {exc}", file=sys.stderr)

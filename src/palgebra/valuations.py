@@ -314,15 +314,16 @@ def counterexample_check(p, precision, samples, seed) -> CounterexampleReport:
     all_distinct = True
     for _ in range(samples):
         for tag, A, va, coord in (("[1,a)", A_a, va_a, "a"), ("[1,b)", A_b, va_b, "b")):
-            u = random_fx_element(rng, A, max_degree=max_degree)
-            while A.norm_Fx(u).is_zero():
+            while True:
                 u = random_fx_element(rng, A, max_degree=max_degree)
-            t = A.mul(u, A.y())
-            t_p = A.power(t, p)
-            central = A.is_p_central(t)
-            norm_ok = central is not None and A.scalar(central) == t_p and (
-                central == A.norm_Fx(u) * A.beta
-            )
+                norm = A.norm_Fx(u)
+                if not norm.is_zero():
+                    break
+            # u is nonzero, so u*y is not central and is p-central exactly
+            # when its p-th power is a scalar
+            t_p = A.power(A.mul(u, A.y()), p)
+            central = t_p.is_scalar()
+            norm_ok = central is not None and central == norm * A.beta
             v = va.gauss_value(t_p)
             if coord == "a":
                 residue = int(v.va) % p

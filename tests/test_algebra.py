@@ -226,6 +226,26 @@ def test_mul_reduces_each_output_coefficient_once(p, monkeypatch):
         assert len(calls) <= p * p + denominators
 
 
+def test_inverse_reduces_each_power_forward_only(monkeypatch):
+    # each power is reduced once against each earlier row, and no row is
+    # rewritten once it is in the basis: 482 to 507 gcds per inverse here.
+    # Clearing each new pivot from the earlier rows as well took 891 to 1,010.
+    p = 5
+    A = rational_algebra(p)
+    rng = random.Random(5)
+    dense = [
+        A.from_entries({(i, j): rng.randrange(p) for i in range(p) for j in range(p)})
+        for _ in range(4)
+    ]
+    calls = []
+    gcd = polys.p_gcd
+    monkeypatch.setattr(polys, "p_gcd", lambda f, g, q: calls.append(1) or gcd(f, g, q))
+    for t in dense:
+        calls.clear()
+        A.inverse(t)
+        assert len(calls) <= 650
+
+
 # --- commutators ---------------------------------------------------------------
 
 def test_commutator_examples():
@@ -309,9 +329,21 @@ def test_laurent_inverse_matches_exact_inverse_inside_window(p):
     rat = FieldDescriptor("rational", p)
     R = make_algebra(p, rat.one(), rat.gen("a"), rat)
     compared = 0
-    for window in (3, 6, 8):
+
+    def compare(window, t, exact):
+        nonlocal compared
         lau = FieldDescriptor("laurent", p, window)
         L = make_algebra(p, lau.one(), lau.gen("a"), lau)
+        tl = L.from_entries({ij: lau.from_terms(c.num) for ij, c in t.entries.items()})
+        approx = L.inverse(tl)
+        for i in range(p):
+            for j in range(p):
+                c = exact.coeff(i, j)
+                want = lau.zero() if c.is_zero() else lau.from_terms(c.num) / lau.from_terms(c.den)
+                assert (approx.coeff(i, j) - want)._certified_zero(), (window, i, j)
+                compared += 1
+
+    for window in (3, 6, 8):
         rng = random.Random(1000 * p + window)
         done = 0
         while done < 8:
@@ -321,16 +353,15 @@ def test_laurent_inverse_matches_exact_inverse_inside_window(p):
                 exact = R.inverse(t)
             except NotInvertible:
                 continue
-            tl = L.from_entries({ij: lau.from_terms(c.num) for ij, c in t.entries.items()})
-            approx = L.inverse(tl)
+            compare(window, t, exact)
             done += 1
-            for i in range(p):
-                for j in range(p):
-                    c = exact.coeff(i, j)
-                    want = lau.zero() if c.is_zero() else lau.from_terms(c.num) / lau.from_terms(c.den)
-                    assert (approx.coeff(i, j) - want)._certified_zero(), (window, i, j)
-                    compared += 1
-    assert compared == 3 * 8 * p * p
+    if p == 5:
+        # a general element outside the u*y^k family: window 6 certifies its
+        # inverse only when each power is reduced once against each earlier row
+        a, b = rat.gen("a"), rat.gen("b")
+        t = R.from_entries({(0, 1): a, (0, 2): 1, (1, 0): 3 * b, (1, 1): 4 * a})
+        compare(6, t, R.inverse(t))
+    assert compared == (3 * 8 + (p == 5)) * p * p
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -199,6 +199,20 @@ def test_zero_right_slot_on_link_exit_2(capsys):
     assert err == "palgebra: invalid input: InvalidSlot: the right slot must be nonzero\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "-p", "4", "--alpha", "a", "--beta", "b", "--expr", "x"],
+    ["link", "-p", "1", "--alpha", "a", "--gamma", "a+b", "--beta", "b"],
+    ["identity", "-p", "0", "--alpha", "a", "--beta", "b"],
+    ["decompose", "-p", "9", "--alpha", "a", "--beta", "b", "--t", "x"],
+    ["counterexample", "-p", "6"],
+])
+def test_non_prime_p_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"palgebra: invalid input: InvalidPrime: {argv[2]} is not prime\n"
+
+
 @pytest.mark.parametrize("argv, cause", [
     (["identity", "-p", "3", "--alpha", "1/(a-a)", "--beta", "b"], "DivisionByZero"),
     (["eval", "-p", "3", "--alpha", "a", "--beta", "b", "--let", "q=b/(b-b)", "--expr", "x"],
