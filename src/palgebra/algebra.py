@@ -33,6 +33,7 @@ from .errors import (
     NotArtinSchreier,
     NotInSubfield,
     NotInvertible,
+    PrecisionExhausted,
     WitnessVerificationFailed,
     ZeroElement,
 )
@@ -415,10 +416,12 @@ class AlgElement:
         return not self.entries
 
     def is_scalar(self):
-        """The coefficient of 1 when the element lies in F*1, else None."""
-        if any(ij != (0, 0) for ij in self.entries):
-            return None
-        return self.coeff(0, 0)
+        """The coefficient of 1 when the element lies in F*1, else None;
+        undecided (PrecisionExhausted) when no other coefficient is certified."""
+        off = [c for ij, c in self.entries.items() if ij != (0, 0)]
+        if off and all(c._certified_zero() for c in off):
+            raise PrecisionExhausted("window too small to decide whether an element is a scalar")
+        return None if off else self.coeff(0, 0)
 
     # operators -----------------------------------------------------------
     def _coerce(self, other):

@@ -43,14 +43,15 @@ class SymbolPresentation:
 
 @dataclass(frozen=True)
 class LinkageWitness:
-    """A generator pair certifying a presentation of its algebra, with the
-    conjugate w z w^(-1) the engine computed (checked against z + 1)."""
+    """A generator pair certifying a presentation of its algebra: w^p is a
+    nonzero scalar, so w is a unit, and the products wz = w z and z1w = (z + 1) w agree."""
 
     z: AlgElement
     w: AlgElement
     claimed_left: object
     claimed_right: object
-    conjugation: AlgElement
+    wz: AlgElement
+    z1w: AlgElement
 
     def to_dict(self):
         return {
@@ -112,22 +113,28 @@ class LemmaReport:
 def verify_presentation(A: SymbolAlgebra, z: AlgElement, w: AlgElement) -> LinkageWitness:
     """Check the generator-pair relations and extract the certified slots.
 
-    A nonzero pair with w z w^(-1) = z + 1 forces z to be Artin-Schreier
-    and w to be p-central, and the algebra is then presented by the slots
-    (z^p - z, w^p); all three facts are engine-checked here.
+    A nonzero scalar w^p = r makes w a unit with inverse w^(p-1) / r, so
+    w z = (z + 1) w is w z w^(-1) = z + 1 and no inverse is computed.  The
+    slots (z^p - z, w^p) then present the algebra; all is engine-checked.
+    A nilpotent w raises NotInvertible with inverse's verified witness.
     """
-    if z.is_zero() or w.is_zero():
-        raise RelationFails("generators must be nonzero")
-    conj = A.conjugate(w, z)
-    if not A.certified_equal(conj, z + A.one()):
-        raise RelationFails("w z w^-1 = z + 1", computed=conj, expected=z + A.one())
-    left = A.sub(A.power(z, A.p), z).is_scalar()
-    if left is None:
-        raise RelationFails("z^p - z lies in the base field")
-    right = A.power(w, A.p).is_scalar()
+    right = A.is_p_central(w)
     if right is None:
         raise RelationFails("w^p lies in the base field")
-    return LinkageWitness(z=z, w=w, claimed_left=left, claimed_right=right, conjugation=conj)
+    if right.is_zero():
+        A.inverse(w)  # w^p = 0, so this raises NotInvertible with a verified witness
+    wz, z1w = A.mul(w, z), A.mul(z + A.one(), w)
+    if not A.certified_equal(wz, z1w):
+        raise RelationFails("w z = (z + 1) w", computed=wz, expected=z1w)
+    left = A.is_artin_schreier(z)
+    if left is None:
+        raise RelationFails("z^p - z lies in the base field")
+    return LinkageWitness(z=z, w=w, claimed_left=left, claimed_right=right, wz=wz, z1w=z1w)
+
+
+def _differ(s, t):
+    """Scalars that differ on some certified term (for RatFunc: s != t)."""
+    return not (s - t)._certified_zero()
 
 
 def chain_identity(pres: SymbolPresentation):
@@ -135,7 +142,7 @@ def chain_identity(pres: SymbolPresentation):
     witness pair (x + y, y)."""
     A = pres.to_algebra()
     witness = verify_presentation(A, A.x() + A.y(), A.y())
-    if witness.claimed_left != pres.left + pres.right or witness.claimed_right != pres.right:
+    if _differ(witness.claimed_left, pres.left + pres.right) or _differ(witness.claimed_right, pres.right):
         raise WitnessVerificationFailed("chain identity produced unexpected slots")
     new_pres = SymbolPresentation(witness.claimed_left, witness.claimed_right, pres.p, pres.field)
     return new_pres, witness
@@ -150,7 +157,7 @@ def scale_slot_by_norm(pres: SymbolPresentation, u: AlgElement):
     A = pres.to_algebra()
     norm = A.norm_Fx(u)
     witness = verify_presentation(A, A.x(), A.mul(u, A.y()))
-    if witness.claimed_left != pres.left or witness.claimed_right != norm * pres.right:
+    if _differ(witness.claimed_left, pres.left) or _differ(witness.claimed_right, norm * pres.right):
         raise WitnessVerificationFailed("norm scaling produced unexpected slots")
     new_pres = SymbolPresentation(pres.left, witness.claimed_right, pres.p, pres.field)
     return new_pres, witness
@@ -195,7 +202,7 @@ def solve_lambda(alpha, gamma, beta):
     if beta.is_zero():
         raise InvalidSlot("the shared right slot must be nonzero")
     lam = alpha - (gamma - alpha) / beta
-    if alpha + beta * (alpha - lam) != gamma:
+    if _differ(alpha + beta * (alpha - lam), gamma):
         raise WitnessVerificationFailed("lambda failed its defining equation")
     return lam
 
@@ -222,16 +229,16 @@ def right_to_left(alpha, gamma, beta, p, field: FieldDescriptor) -> LeftLinkResu
     w = A.mul(A.scalar(lam) + A.x(), A.y())
     z = A.x() + w
     witness_A = verify_presentation(A, z, w)
-    if witness_A.claimed_left != common_left or witness_A.claimed_right != norm_slot:
+    if _differ(witness_A.claimed_left, common_left) or _differ(witness_A.claimed_right, norm_slot):
         raise WitnessVerificationFailed("witness slots in A disagree with the closed form")
 
     Aprime = make_algebra(p, gamma, beta, field)
     zp = Aprime.x() + lam * Aprime.y()
     witness_Aprime = verify_presentation(Aprime, zp, Aprime.y())
-    if witness_Aprime.claimed_left != common_left or witness_Aprime.claimed_right != beta:
+    if _differ(witness_Aprime.claimed_left, common_left) or _differ(witness_Aprime.claimed_right, beta):
         raise WitnessVerificationFailed("witness slots in A' disagree with the closed form")
 
-    if alpha + norm_slot != common_left:
+    if _differ(alpha + norm_slot, common_left):
         raise WitnessVerificationFailed("slot bookkeeping identity failed")
 
     return LeftLinkResult(

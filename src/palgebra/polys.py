@@ -90,10 +90,6 @@ def u_mul(f, g, p):
     return out
 
 
-def u_lc(f):
-    return f[max(f)]
-
-
 def u_divmod(f, g, p):
     if not g:
         raise ZeroDivisionError("univariate division by zero")

@@ -14,6 +14,7 @@ from palgebra import (
     NotArtinSchreier,
     NotInSubfield,
     NotInvertible,
+    PrecisionExhausted,
     ZeroElement,
     make_algebra,
 )
@@ -538,3 +539,15 @@ def test_is_scalar():
     assert A.one().is_scalar() == A.field.one()
     assert A.zero().is_scalar() == A.field.zero()
     assert A.x().is_scalar() is None
+
+
+def test_is_scalar_over_laurent_decides_only_on_certified_terms():
+    field = FieldDescriptor("laurent", 3, 5)
+    A = make_algebra(3, field.one(), field.gen("a"), field)
+    u = field.parse("1/(1+a)")
+    remainder = u * (1 + field.gen("a")) - 1  # 0 + O(a^5): no certified term
+    assert A.scalar(u).is_scalar() == u
+    assert A.from_entries({(0, 0): u, (1, 0): u, (0, 1): remainder}).is_scalar() is None
+    # the x-coefficient may be nonzero beyond the window: undecided, not "no"
+    with pytest.raises(PrecisionExhausted):
+        A.from_entries({(0, 0): u, (1, 0): remainder}).is_scalar()

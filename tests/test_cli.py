@@ -5,11 +5,13 @@ import random
 import string
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from palgebra.cli import main
+from palgebra import FieldDescriptor, SymbolPresentation, scale_slot_by_norm
+from palgebra.cli import Report, _record_conjugation, main
 
 from support import SRC
 
@@ -117,32 +119,70 @@ def test_json_output_matches_text_fields(capsys):
 
 
 def test_json_conjugation_checks_carry_computed_elements(capsys):
+    # the conjugation checks compare the computed w z (computed) with the
+    # computed (z + 1) w (expected); w^p, a nonzero scalar, makes w a unit
     code, out, _ = run(capsys, "link", "-p", "2", "--alpha", "a", "--gamma", "a+a*b",
                        "--beta", "b", "--json")
     assert code == 0
     checks = {chk["relation"]: chk for chk in json.loads(out)["checks"]}
-    assert checks["w z w^-1 = z + 1 in A"]["expected"] == "1 + x + x*y"
-    assert checks["w z w^-1 = z + 1 in A"]["computed"] == "1 + x + x*y"
-    assert checks["y' z' y'^-1 = z' + 1 in A'"]["computed"] == "1 + x"
+    assert checks["w z w^-1 = z + 1 in A"]["expected"] == "a*b + a*y"
+    assert checks["w z w^-1 = z + 1 in A"]["computed"] == "a*b + a*y"
+    assert checks["y' z' y'^-1 = z' + 1 in A'"]["computed"] == "y + x*y"
     code, out, _ = run(capsys, "identity", "-p", "3", "--alpha", "a", "--beta", "b", "--json")
     chk = json.loads(out)["checks"][-1]
-    assert (chk["expected"], chk["computed"], chk["pass"]) == ("1 + y + x", "1 + y + x", True)
+    assert (chk["expected"], chk["computed"], chk["pass"]) == (
+        "y + y^2 + x*y", "y + y^2 + x*y", True)
 
 
 def test_laurent_conjugation_check_is_certified_not_textual(capsys):
-    # the computed conjugate carries window remainders, so its text differs
-    # from x + 1; the check passes because every certified term agrees
-    argv = ["scale", "-p", "3", "--alpha", "1", "--beta", "a", "--u", "1 + a*x",
-            "--field", "laurent", "--precision", "5"]
-    code, out, _ = run(capsys, *argv, "--json")
+    # products that differ only beyond the window print differently and
+    # pass; a difference in a certified term fails
+    field = FieldDescriptor("laurent", 3, 5)
+    pres = SymbolPresentation(field.one(), field.gen("a"), 3, field)
+    A = pres.to_algebra()
+    _, witness = scale_slot_by_norm(pres, A.one() + field.gen("a") * A.x())
+    u = field.parse("1/(1+a)")
+    remainder = u * (1 + field.gen("a")) - 1  # 0 + O(a^5)
+    report = Report("scale", {})
+    relation = "(u y) x (u y)^-1 = x + 1"
+    _record_conjugation(report, relation, replace(witness, z1w=witness.z1w + remainder * A.x()))
+    chk = report.checks[-1]
+    assert "O(a^5)" in chk.expected and chk.expected != chk.computed
+    assert chk.ok
+    _record_conjugation(report, relation, replace(witness, z1w=witness.z1w + A.x()))
+    assert not report.checks[-1].ok
+    code, out, _ = run(capsys, "scale", "-p", "3", "--alpha", "1", "--beta", "a", "--u",
+                       "1 + a*x", "--field", "laurent", "--precision", "5")
     assert code == 0
-    chk = json.loads(out)["checks"][-1]
-    assert chk["relation"] == "(u y) x (u y)^-1 = x + 1"
-    assert chk["expected"] == "1 + x"
-    assert "O(a^5)" in chk["computed"]
-    assert chk["pass"]
-    code, out, _ = run(capsys, *argv)
     assert "check (u y) x (u y)^-1 = x + 1: PASS" in out
+
+
+def test_laurent_slot_with_a_non_monomial_denominator(capsys):
+    code, out, _ = run(capsys, "identity", "-p", "7", "--alpha", "a", "--beta", "1/(a+b)",
+                       "--field", "laurent")
+    assert code == 0
+    assert out.endswith("result: PASS\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("link", "-p", "2", "--alpha", "a", "--gamma", "1/(1+a)", "--beta", "b"),
+    ("link", "-p", "3", "--alpha", "1/(1+a)", "--gamma", "a", "--beta", "b"),
+    ("scale", "-p", "3", "--alpha", "1", "--beta", "a", "--u", "1/(1+a) + x",
+     "--precision", "5"),
+])
+def test_undecided_laurent_witness_is_precision_exhausted(capsys, argv):
+    # an off-diagonal coefficient with no certified term is not evidence that
+    # w^p or a norm is not a scalar: the window is too small, not the maths wrong
+    code, _, err = run(capsys, *argv, "--field", "laurent")
+    assert code == 1
+    assert err.startswith("palgebra: PrecisionExhausted:")
+
+
+def test_zero_divisor_generator_exits_1(capsys):
+    # N(x) = x^2 + x = 0 in [0, b)_2, so w = x y is nilpotent
+    code, _, err = run(capsys, "scale", "-p", "2", "--alpha", "0", "--beta", "b", "--u", "x")
+    assert code == 1
+    assert err == "palgebra: NotInvertible: element is a zero divisor\n"
 
 
 def test_json_key_order_stable(capsys):

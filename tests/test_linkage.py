@@ -8,7 +8,9 @@ from palgebra import (
     FieldDescriptor,
     HypothesisFails,
     InvalidSlot,
+    NotInvertible,
     RelationFails,
+    SymbolAlgebra,
     SymbolPresentation,
     chain_identity,
     frobenius,
@@ -59,6 +61,40 @@ def test_verify_presentation_rejects_bad_pair():
     A = presentation(2).to_algebra()
     with pytest.raises(RelationFails):
         verify_presentation(A, A.x(), A.x())
+
+
+def test_verify_presentation_nilpotent_w_raises_with_witness():
+    # in [0, b)_2, (x y)^2 = N(x) b = (x^2 + x) b = 0: x y is a zero divisor
+    field = RAT[2]
+    A = make_algebra(2, field.zero(), field.gen("b"), field)
+    w = A.mul(A.x(), A.y())
+    with pytest.raises(NotInvertible) as info:
+        verify_presentation(A, A.x(), w)
+    s = info.value.witness
+    assert not s.is_zero()
+    assert A.mul(s, w).is_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_witnesses_are_verified_without_an_inverse(monkeypatch, p):
+    # a nonzero scalar w^p proves w a unit, so no witness needs w^-1
+    def refuse(*args):
+        raise AssertionError("verify_presentation inverted a unit")
+
+    monkeypatch.setattr(SymbolAlgebra, "inverse", refuse)
+    monkeypatch.setattr(SymbolAlgebra, "conjugate", refuse)
+    field = RAT[p]
+    rng = random.Random(300 + p)
+    for i in range(3):
+        alpha, gamma, beta = draw_right_linked(rng, field, monomial_beta=(i % 2 == 0))
+        res = right_to_left(alpha, gamma, beta, p, field)
+        assert res.pres_A.left == res.pres_Aprime.left == res.common_left
+    pres = presentation(p)
+    assert chain_identity(pres)[0].left == pres.left + pres.right
+    A = pres.to_algebra()
+    # N(a + x) = a^p - a + alpha = a^p
+    scaled, _ = scale_slot_by_norm(pres, A.scalar(field.gen("a")) + A.x())
+    assert scaled.right == field.gen("a") ** p * pres.right
 
 
 # --- chain identity ------------------------------------------------------------
@@ -196,6 +232,16 @@ def test_solve_lambda_examples():
     assert solve_lambda(field.zero(), gamma, b) == -gamma / b
     with pytest.raises(InvalidSlot):
         solve_lambda(a, a, field.zero())
+
+
+def test_solve_lambda_compares_laurent_scalars_on_certified_terms():
+    field = FieldDescriptor("laurent", 3, 8)
+    alpha, a, b = field.parse("1/(1+a)"), field.gen("a"), field.gen("b")
+    lam = solve_lambda(alpha, a, b)
+    lhs = alpha + b * (alpha - lam)
+    # a + O(a^8) against the exact a: the windows differ, no certified term does
+    assert lhs != a
+    assert (lhs - a)._certified_zero()
 
 
 def test_right_to_left_p2_lambda_a():

@@ -123,4 +123,4 @@ def test_univariate_gcd_monic():
     f = {0: 2, 1: 2}  # 2 + 2t
     g = {0: 4, 2: 4}  # 4 + 4t^2 = 4(1+t)(1+...)? over F_5: 4(t^2+1)
     d = polys.u_gcd(f, g, p)
-    assert d and polys.u_lc(d) == 1
+    assert d and d[max(d)] == 1
