@@ -239,14 +239,9 @@ class SymbolAlgebra:
         return self.sub(self.mul(s, t), self.mul(t, s))
 
     def certified_equal(self, s, t):
-        """Equality up to the certification window of each coefficient.
-
-        Strict equality for rational scalars; over Laurent fields a
-        difference whose stored terms all vanish counts as equal, which is
-        the right notion for verifying identities whose inputs passed
-        through window-truncating operations (inversion).
-        """
-        return all(c._certified_zero() for c in self.sub(s, t).entries.values())
+        """Equality up to the certification window of each coefficient:
+        fields.certified_equal for two elements of this algebra."""
+        return self.sub(s, t)._certified_zero()
 
     # linear algebra over the base field --------------------------------------
     def inverse(self, t):
@@ -414,6 +409,10 @@ class AlgElement:
 
     def is_zero(self):
         return not self.entries
+
+    def _certified_zero(self):
+        """No coefficient has a certified term, the scalars' question."""
+        return all(c._certified_zero() for c in self.entries.values())
 
     def is_scalar(self):
         """The coefficient of 1 when the element lies in F*1, else None;

@@ -6,6 +6,11 @@ for elements); --let name=expr binds extra names.  Output is a text
 report with one verification line per checked relation; --json emits the
 same data as a machine-readable object with fixed key order.
 
+Every check line carries a verdict reached on certified terms: two values
+agree when their difference has no certified term (fields.certified_equal),
+so over Laurent fields a difference such as 0 + O(a^5) passes although the
+two sides print differently.  The counterexample counts compare integers.
+
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
 input error: malformed syntax, a -p that is not prime, a zero right slot,
 or a division by zero or by a zero divisor inside an input expression.
@@ -28,7 +33,7 @@ from .errors import (
     NotInvertible,
     PAlgebraError,
 )
-from .fields import FieldDescriptor
+from .fields import FieldDescriptor, certified_equal
 from .linkage import (
     SymbolPresentation,
     chain_identity,
@@ -67,17 +72,13 @@ class Report:
     results: dict = dc_field(default_factory=dict)
     checks: list = dc_field(default_factory=list)
 
-    def check(self, relation, expected, computed):
-        ok = expected == computed
-        self.checks.append(CheckLine(relation, str(expected), str(computed), ok))
-        return ok
-
-    def record(self, relation, ok, expected="pass", computed=None):
-        """A check the caller decided; its text line carries only the status.
-        Without sides, JSON shows "pass" against "pass" or "fail"."""
+    def check(self, relation, ok, expected="pass", computed=None, brief=False):
+        """One check line with the verdict ``ok`` its caller reached; a brief
+        line shows only the status in text.  Without sides, JSON shows
+        "pass" against "pass" or "fail"."""
         if computed is None:
             computed = "pass" if ok else "fail"
-        self.checks.append(CheckLine(relation, str(expected), str(computed), ok, brief=True))
+        self.checks.append(CheckLine(relation, str(expected), str(computed), ok, brief))
 
     @property
     def ok(self):
@@ -207,26 +208,21 @@ def _parse_inputs(args, slots=("alpha", "beta")):
     return fieldd, env, values, Report(args.verb, inputs)
 
 
-def _record_conjugation(report, relation, witness):
-    """The computed w z against (z + 1) w, equal as far as windows certify."""
-    ok = witness.w.algebra.certified_equal(witness.wz, witness.z1w)
-    report.record(relation, ok, witness.z1w, witness.wz)
-
-
 def _cmd_link(args):
     fieldd, _, (alpha, gamma, beta), report = _parse_inputs(args, ("alpha", "gamma", "beta"))
     res = right_to_left(alpha, gamma, beta, args.p, fieldd)
     report.results.update(res.to_dict())
-    report.check("z^p - z in A", str(res.common_left), str(res.witness_A.claimed_left))
-    report.check("w^p in A", str(res.pres_A.right), str(res.witness_A.claimed_right))
-    _record_conjugation(report, "w z w^-1 = z + 1 in A", res.witness_A)
-    report.check("z'^p - z' in A'", str(res.common_left), str(res.witness_Aprime.claimed_left))
-    _record_conjugation(report, "y' z' y'^-1 = z' + 1 in A'", res.witness_Aprime)
-    report.check(
-        "alpha + (alpha + lambda^p - lambda) beta = gamma + lambda^p beta",
-        str(res.common_left),
-        str(alpha + res.pres_A.right),
-    )
+    left, right, summed = res.common_left, res.pres_A.right, alpha + res.pres_A.right
+    wit, wit2 = res.witness_A, res.witness_Aprime
+    report.check("z^p - z in A", certified_equal(left, wit.claimed_left), left, wit.claimed_left)
+    report.check("w^p in A", certified_equal(right, wit.claimed_right), right, wit.claimed_right)
+    report.check("w z w^-1 = z + 1 in A", certified_equal(wit.z1w, wit.wz), wit.z1w, wit.wz,
+                 brief=True)
+    report.check("z'^p - z' in A'", certified_equal(left, wit2.claimed_left), left, wit2.claimed_left)
+    report.check("y' z' y'^-1 = z' + 1 in A'", certified_equal(wit2.z1w, wit2.wz), wit2.z1w, wit2.wz,
+                 brief=True)
+    report.check("alpha + (alpha + lambda^p - lambda) beta = gamma + lambda^p beta",
+                 certified_equal(left, summed), left, summed)
     return report
 
 
@@ -239,8 +235,8 @@ def _cmd_verify_lemma(args):
     lem = verify_lemma(A, x_el, t_el)
     report.results["k"] = lem.k
     report.results["m"] = lem.m
-    report.check("(x+t)^p - (x+t) = (x^p - x) + t^p", str(lem.rhs), str(lem.lhs))
-    report.record("t^m (x+t) t^-m = x + t + 1", lem.shift_conjugation_ok)
+    report.check("(x+t)^p - (x+t) = (x^p - x) + t^p", lem.sides_agree, lem.rhs, lem.lhs)
+    report.check("t^m (x+t) t^-m = x + t + 1", lem.shift_conjugation_ok, brief=True)
     return report
 
 
@@ -252,38 +248,41 @@ def _cmd_decompose(args):
     comps = A.ad_decompose(t, A.x())
     for i, part in enumerate(comps):
         report.results[f"t_{i}"] = str(part)
-    report.check("sum of components", str(t), str(comps.total()))
+    total = comps.total()
+    report.check("sum of components", certified_equal(t, total), t, total)
     for i, part in enumerate(comps):
-        lhs = A.commutator(part, A.x())
-        report.check(f"t_{i} x - x t_{i} = {i} t_{i}", str(A.scale(i, part)), str(lhs))
+        eigen, lhs = A.scale(i, part), A.commutator(part, A.x())
+        report.check(f"t_{i} x - x t_{i} = {i} t_{i}", certified_equal(eigen, lhs), eigen, lhs)
     return report
 
 
 def _cmd_identity(args):
     fieldd, _, (alpha, beta), report = _parse_inputs(args)
     pres = SymbolPresentation(alpha, beta, args.p, fieldd)
-    new_pres, witness = chain_identity(pres)
+    new_pres, wit = chain_identity(pres)
     report.results["presentation"] = str(new_pres)
-    report.results["witness"] = witness.to_dict()
-    report.check("z^p - z", str(alpha + beta), str(witness.claimed_left))
-    report.check("w^p", str(beta), str(witness.claimed_right))
-    _record_conjugation(report, "w z w^-1 = z + 1", witness)
+    report.results["witness"] = wit.to_dict()
+    left = alpha + beta
+    report.check("z^p - z", certified_equal(left, wit.claimed_left), left, wit.claimed_left)
+    report.check("w^p", certified_equal(beta, wit.claimed_right), beta, wit.claimed_right)
+    report.check("w z w^-1 = z + 1", certified_equal(wit.z1w, wit.wz), wit.z1w, wit.wz, brief=True)
     return report
 
 
 def _cmd_scale(args):
     fieldd, env, (alpha, beta), report = _parse_inputs(args)
     pres = SymbolPresentation(alpha, beta, args.p, fieldd)
-    A = pres.to_algebra()
-    u = _element(args.u, A, env)
+    u = _element(args.u, pres.to_algebra(), env)
     report.inputs["u"] = str(u)
-    norm = A.norm_Fx(u)
-    new_pres, witness = scale_slot_by_norm(pres, u)
+    new_pres, wit, norm = scale_slot_by_norm(pres, u)
     report.results["norm"] = str(norm)
     report.results["presentation"] = str(new_pres)
-    report.results["witness"] = witness.to_dict()
-    report.check("(u y)^p = N(u) beta", str(norm * beta), str(witness.claimed_right))
-    _record_conjugation(report, "(u y) x (u y)^-1 = x + 1", witness)
+    report.results["witness"] = wit.to_dict()
+    right = norm * beta
+    report.check("(u y)^p = N(u) beta", certified_equal(right, wit.claimed_right), right,
+                 wit.claimed_right)
+    report.check("(u y) x (u y)^-1 = x + 1", certified_equal(wit.z1w, wit.wz), wit.z1w, wit.wz,
+                 brief=True)
     return report
 
 
@@ -298,13 +297,15 @@ def _cmd_counterexample(args):
     norm_ok = sum(1 for r in rep.records if r.norm_identity_ok)
     res_a = sum(1 for r in rep.records if r.algebra == "[1,a)" and r.residue_ok)
     res_b = sum(1 for r in rep.records if r.algebra == "[1,b)" and r.residue_ok)
-    half = len(rep.records) // 2
-    report.check("p-central norm identity (u y)^p = N(u) slot", f"{len(rep.records)} pass",
-                 f"{norm_ok} pass")
-    report.check("a-coordinate of v((u y)^p) = 1 mod p in [1,a)", f"{half} pass", f"{res_a} pass")
-    report.check("b-coordinate of v((u y)^p) = 1 mod p in [1,b)", f"{half} pass", f"{res_b} pass")
-    report.record("subfield value groups distinct across the two algebras",
-                  rep.lattices_always_distinct)
+    total, half = len(rep.records), len(rep.records) // 2
+    for relation, want, got in (
+        ("p-central norm identity (u y)^p = N(u) slot", total, norm_ok),
+        ("a-coordinate of v((u y)^p) = 1 mod p in [1,a)", half, res_a),
+        ("b-coordinate of v((u y)^p) = 1 mod p in [1,b)", half, res_b),
+    ):
+        report.check(relation, got == want, f"{want} pass", f"{got} pass")
+    report.check("subfield value groups distinct across the two algebras",
+                 rep.lattices_always_distinct, brief=True)
     for note in rep.verified_facts:
         report.results.setdefault("verified", []).append(note)
     for note in rep.background_facts:

@@ -574,10 +574,6 @@ class Value:
     def __lt__(self, other):
         return (self.vb, self.va) < (other.vb, other.va)
 
-    def in_lattice(self, p):
-        """True when both coordinates lie in (1/p)Z."""
-        return p % self.va.denominator == 0 and p % self.vb.denominator == 0
-
     def __str__(self):
         return f"({self.va}, {self.vb})"
 
@@ -603,6 +599,14 @@ def valuation(c):
 def frobenius(c):
     """The p-th power map on scalars."""
     return c.frobenius()
+
+
+def certified_equal(s, t):
+    """The one relation check: two scalars, or two elements of one algebra,
+    are equal when their difference has no certified term.  For rational
+    scalars this is exact equality; over Laurent fields a difference that
+    stores no term, such as 0 + O(a^5), passes whatever its window."""
+    return (s - t)._certified_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -651,11 +655,6 @@ class FieldDescriptor:
         if self.kind == "rational":
             return isinstance(scalar, RatFunc) and scalar.p == self.prime
         return isinstance(scalar, LaurentScalar) and scalar.p == self.prime
-
-    def parse(self, text, env=None):
-        from .parsing import parse_scalar
-
-        return parse_scalar(text, self, env)
 
     def __str__(self):
         if self.kind == "rational":

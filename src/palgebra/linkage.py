@@ -18,7 +18,7 @@ from .errors import (
     RelationFails,
     WitnessVerificationFailed,
 )
-from .fields import FieldDescriptor, frobenius
+from .fields import FieldDescriptor, certified_equal, frobenius
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def verify_presentation(A: SymbolAlgebra, z: AlgElement, w: AlgElement) -> Linka
     if right.is_zero():
         A.inverse(w)  # w^p = 0, so this raises NotInvertible with a verified witness
     wz, z1w = A.mul(w, z), A.mul(z + A.one(), w)
-    if not A.certified_equal(wz, z1w):
+    if not certified_equal(wz, z1w):
         raise RelationFails("w z = (z + 1) w", computed=wz, expected=z1w)
     left = A.is_artin_schreier(z)
     if left is None:
@@ -132,17 +132,13 @@ def verify_presentation(A: SymbolAlgebra, z: AlgElement, w: AlgElement) -> Linka
     return LinkageWitness(z=z, w=w, claimed_left=left, claimed_right=right, wz=wz, z1w=z1w)
 
 
-def _differ(s, t):
-    """Scalars that differ on some certified term (for RatFunc: s != t)."""
-    return not (s - t)._certified_zero()
-
-
 def chain_identity(pres: SymbolPresentation):
     """The presentation [left + right, right) of the same algebra, with the
     witness pair (x + y, y)."""
     A = pres.to_algebra()
     witness = verify_presentation(A, A.x() + A.y(), A.y())
-    if _differ(witness.claimed_left, pres.left + pres.right) or _differ(witness.claimed_right, pres.right):
+    if not (certified_equal(witness.claimed_left, pres.left + pres.right)
+            and certified_equal(witness.claimed_right, pres.right)):
         raise WitnessVerificationFailed("chain identity produced unexpected slots")
     new_pres = SymbolPresentation(witness.claimed_left, witness.claimed_right, pres.p, pres.field)
     return new_pres, witness
@@ -151,16 +147,18 @@ def chain_identity(pres: SymbolPresentation):
 def scale_slot_by_norm(pres: SymbolPresentation, u: AlgElement):
     """Rescale the right slot by the norm of u in F[x]: [left, N(u)*right).
 
-    The witness pair is (x, u*y); u commutes with x, so u*y still shifts
-    x by one under conjugation.
+    Returns the new presentation, its witness and the norm N(u).  The
+    witness pair is (x, u*y); u commutes with x, so u*y still shifts x by
+    one under conjugation.
     """
     A = pres.to_algebra()
     norm = A.norm_Fx(u)
     witness = verify_presentation(A, A.x(), A.mul(u, A.y()))
-    if _differ(witness.claimed_left, pres.left) or _differ(witness.claimed_right, norm * pres.right):
+    if not (certified_equal(witness.claimed_left, pres.left)
+            and certified_equal(witness.claimed_right, norm * pres.right)):
         raise WitnessVerificationFailed("norm scaling produced unexpected slots")
     new_pres = SymbolPresentation(pres.left, witness.claimed_right, pres.p, pres.field)
-    return new_pres, witness
+    return new_pres, witness, norm
 
 
 def verify_lemma(A: SymbolAlgebra, x_el: AlgElement, y_el: AlgElement) -> LemmaReport:
@@ -177,7 +175,7 @@ def verify_lemma(A: SymbolAlgebra, x_el: AlgElement, y_el: AlgElement) -> LemmaR
     comm = A.commutator(y_el, x_el)
     k_found = None
     for k in range(1, A.p):
-        if comm == A.scale(k, y_el):
+        if certified_equal(comm, A.scale(k, y_el)):
             k_found = k
             break
     if k_found is None:
@@ -192,8 +190,8 @@ def verify_lemma(A: SymbolAlgebra, x_el: AlgElement, y_el: AlgElement) -> LemmaR
         m=m,
         lhs=lhs,
         rhs=rhs,
-        sides_agree=A.certified_equal(lhs, rhs),
-        shift_conjugation_ok=A.certified_equal(shifted, s + A.one()),
+        sides_agree=certified_equal(lhs, rhs),
+        shift_conjugation_ok=certified_equal(shifted, s + A.one()),
     )
 
 
@@ -202,7 +200,7 @@ def solve_lambda(alpha, gamma, beta):
     if beta.is_zero():
         raise InvalidSlot("the shared right slot must be nonzero")
     lam = alpha - (gamma - alpha) / beta
-    if _differ(alpha + beta * (alpha - lam), gamma):
+    if not certified_equal(alpha + beta * (alpha - lam), gamma):
         raise WitnessVerificationFailed("lambda failed its defining equation")
     return lam
 
@@ -229,16 +227,18 @@ def right_to_left(alpha, gamma, beta, p, field: FieldDescriptor) -> LeftLinkResu
     w = A.mul(A.scalar(lam) + A.x(), A.y())
     z = A.x() + w
     witness_A = verify_presentation(A, z, w)
-    if _differ(witness_A.claimed_left, common_left) or _differ(witness_A.claimed_right, norm_slot):
+    if not (certified_equal(witness_A.claimed_left, common_left)
+            and certified_equal(witness_A.claimed_right, norm_slot)):
         raise WitnessVerificationFailed("witness slots in A disagree with the closed form")
 
     Aprime = make_algebra(p, gamma, beta, field)
     zp = Aprime.x() + lam * Aprime.y()
     witness_Aprime = verify_presentation(Aprime, zp, Aprime.y())
-    if _differ(witness_Aprime.claimed_left, common_left) or _differ(witness_Aprime.claimed_right, beta):
+    if not (certified_equal(witness_Aprime.claimed_left, common_left)
+            and certified_equal(witness_Aprime.claimed_right, beta)):
         raise WitnessVerificationFailed("witness slots in A' disagree with the closed form")
 
-    if _differ(alpha + norm_slot, common_left):
+    if not certified_equal(alpha + norm_slot, common_left):
         raise WitnessVerificationFailed("slot bookkeeping identity failed")
 
     return LeftLinkResult(

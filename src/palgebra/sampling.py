@@ -1,7 +1,7 @@
 """Seeded random generators for scalars and algebra elements.
 
 Everything takes an explicit random.Random so that the valuation
-experiment, the scripts and the test suite stay reproducible. Sampled
+experiment, the scripts and the benchmark stay reproducible. Sampled
 coefficients are kept small: the engine is exact, so size only costs time.
 """
 
@@ -29,38 +29,6 @@ def random_monomial_scalar(rng, field, max_degree=2):
     """Random nonzero monomial c * a^i * b^j."""
     m = (rng.randint(0, max_degree), rng.randint(0, max_degree))
     return field.from_terms({m: rng.randrange(1, field.prime)})
-
-
-def random_rational_function(rng, field, max_degree=2):
-    """Random scalar with a nontrivial denominator (rational fields only)."""
-    num = random_poly_scalar(rng, field, max_degree, nonzero=True)
-    den = random_monomial_scalar(rng, field, max_degree=1) + random_poly_scalar(
-        rng, field, max_degree=1, max_terms=1
-    )
-    if den.is_zero():
-        den = field.one()
-    return num / den
-
-
-def random_element(rng, algebra, density=0.35, scalar_sampler=None):
-    """Random algebra element; each of the p^2 basis coefficients is drawn
-    with the given probability. Density is kept low so property tests stay
-    fast at p=5."""
-    sample = scalar_sampler or (lambda r: random_poly_scalar(r, algebra.field, max_degree=1, max_terms=2))
-    entries = {}
-    p = algebra.p
-    for i in range(p):
-        for j in range(p):
-            if rng.random() < density:
-                entries[(i, j)] = sample(rng)
-    return algebra.from_entries(entries)
-
-
-def random_nonzero_element(rng, algebra, density=0.35, scalar_sampler=None):
-    while True:
-        t = random_element(rng, algebra, density, scalar_sampler)
-        if not t.is_zero():
-            return t
 
 
 def random_fx_element(rng, algebra, nonzero=True, max_degree=1):

@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedSlot,
     ZeroValue,
 )
-from .fields import FieldDescriptor, Value, valuation
+from .fields import FieldDescriptor, Value, certified_equal, valuation
 from .sampling import random_fx_element
 
 
@@ -323,7 +323,7 @@ def counterexample_check(p, precision, samples, seed) -> CounterexampleReport:
             # when its p-th power is a scalar
             t_p = A.power(A.mul(u, A.y()), p)
             central = t_p.is_scalar()
-            norm_ok = central is not None and central == norm * A.beta
+            norm_ok = central is not None and certified_equal(central, norm * A.beta)
             v = va.gauss_value(t_p)
             if coord == "a":
                 residue = int(v.va) % p

@@ -1,26 +1,48 @@
-"""Shared helpers for the test suite: the source path, a sampler, the
+"""Shared helpers for the test suite: the source path, the samplers, the
 per-coefficient product oracle and the dense inverse oracle."""
 
 from pathlib import Path
 
 from palgebra import NotInvertible, WitnessVerificationFailed
-from palgebra.sampling import random_poly_scalar
+from palgebra.sampling import random_monomial_scalar, random_poly_scalar
 
 # subprocesses run ``python -m palgebra.cli`` from here, so they import this
 # checkout's package whatever PYTHONPATH says
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def random_poly_element(rng, A, density=0.3, max_degree=1, max_terms=2):
-    """Random element with polynomial coefficients."""
+def random_element(rng, A, density=0.35, max_degree=1, max_terms=2, sample=None):
+    """Random element: each of the p^2 basis coefficients is drawn with
+    probability ``density``, from ``sample(rng)`` when given, else as a
+    polynomial in a, b with exponents at most ``max_degree`` and at most
+    ``max_terms`` terms.  Drawn zeros are dropped."""
+    if sample is None:
+        sample = lambda r: random_poly_scalar(r, A.field, max_degree=max_degree, max_terms=max_terms)
     entries = {}
     for i in range(A.p):
         for j in range(A.p):
             if rng.random() < density:
-                c = random_poly_scalar(rng, A.field, max_degree=max_degree, max_terms=max_terms)
-                if not c.is_zero():
-                    entries[(i, j)] = c
+                entries[(i, j)] = sample(rng)
     return A.from_entries(entries)
+
+
+def random_nonzero_element(rng, A, density=0.35, sample=None):
+    """random_element, drawn again until it is nonzero."""
+    while True:
+        t = random_element(rng, A, density, sample=sample)
+        if not t.is_zero():
+            return t
+
+
+def random_rational_function(rng, field, max_degree=2):
+    """Random scalar with a nontrivial denominator (rational fields only)."""
+    num = random_poly_scalar(rng, field, max_degree, nonzero=True)
+    den = random_monomial_scalar(rng, field, max_degree=1) + random_poly_scalar(
+        rng, field, max_degree=1, max_terms=1
+    )
+    if den.is_zero():
+        den = field.one()
+    return num / den
 
 
 # --- reference path: products reduced term by term --------------------------

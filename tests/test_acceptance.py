@@ -27,7 +27,7 @@ from palgebra.sampling import (
     random_poly_scalar,
 )
 
-from support import SRC, random_poly_element
+from support import SRC, random_element
 
 PRIMES = (2, 3, 5)
 GOLDENS = Path(__file__).parent / "goldens"
@@ -56,9 +56,9 @@ def test_criterion_1_relations_and_associativity():
         triples = 0
         while triples < 1000:
             A = algebras[triples % 100]
-            s = random_poly_element(rng, A, density=0.3, max_degree=1, max_terms=1)
-            t = random_poly_element(rng, A, density=0.3, max_degree=1, max_terms=1)
-            u = random_poly_element(rng, A, density=0.3, max_degree=1, max_terms=1)
+            s = random_element(rng, A, density=0.3, max_terms=1)
+            t = random_element(rng, A, density=0.3, max_terms=1)
+            u = random_element(rng, A, density=0.3, max_terms=1)
             assert A.mul(A.mul(s, t), u) == A.mul(s, A.mul(t, u))
             triples += 1
     _report("1 (relations + associativity)")
@@ -73,7 +73,7 @@ def test_criterion_2_eigendecomposition():
         rng = random.Random(202 + p)
         x = A.x()
         for _ in range(100):
-            t = random_poly_element(rng, A, density=0.35)
+            t = random_element(rng, A)
             comps = A.ad_decompose(t, x)
             assert comps.total() == t
             for i, part in enumerate(comps):
@@ -171,8 +171,8 @@ def test_criterion_6_counterexample():
         rng = random.Random(707 + p)
         pairs = 0
         while pairs < 200:
-            s = random_poly_element(rng, A, density=0.3)
-            t = random_poly_element(rng, A, density=0.3)
+            s = random_element(rng, A, density=0.3)
+            t = random_element(rng, A, density=0.3)
             if s.is_zero() or t.is_zero():
                 continue
             assert va.gauss_value(A.mul(s, t)) == va.gauss_value(s) + va.gauss_value(t)

@@ -17,17 +17,18 @@ from palgebra import (
     PrecisionExhausted,
     ZeroElement,
     make_algebra,
+    parse_scalar,
 )
 from palgebra import polys
-from palgebra.sampling import (
+from palgebra.sampling import random_fx_element, random_poly_scalar
+
+from support import (
+    inverse_dense,
+    mul_reference,
     random_element,
-    random_fx_element,
     random_nonzero_element,
-    random_poly_scalar,
     random_rational_function,
 )
-
-from support import inverse_dense, mul_reference
 
 
 def rational_algebra(p):
@@ -134,11 +135,10 @@ def test_ring_laws_hypothesis(e1, e2, e3):
 def test_associativity_and_distributivity(p):
     A = rational_algebra(p)
     rng = random.Random(1234 + p)
-    sampler = lambda r: random_poly_scalar(r, A.field, max_degree=1, max_terms=1)
     for _ in range(1000):
-        s = random_element(rng, A, density=0.25, scalar_sampler=sampler)
-        t = random_element(rng, A, density=0.25, scalar_sampler=sampler)
-        u = random_element(rng, A, density=0.25, scalar_sampler=sampler)
+        s = random_element(rng, A, density=0.25, max_terms=1)
+        t = random_element(rng, A, density=0.25, max_terms=1)
+        u = random_element(rng, A, density=0.25, max_terms=1)
         assert A.mul(A.mul(s, t), u) == A.mul(s, A.mul(t, u))
         assert A.mul(s, t + u) == A.mul(s, t) + A.mul(s, u)
         assert A.mul(s + t, u) == A.mul(s, u) + A.mul(t, u)
@@ -160,7 +160,6 @@ def test_mul_agrees_with_term_by_term_reference(p):
     a, b, one = rat.gen("a"), rat.gen("b"), rat.one()
     rng = random.Random(500 + p)
     density = 0.35 if p < 5 else 0.2
-    poly = lambda r: random_poly_scalar(r, rat, max_degree=1, max_terms=2)
     frac = lambda r: random_rational_function(r, rat, max_degree=1)
     # irreducible with three terms, so no coefficient (at most two terms)
     # cancels it: every coefficient it scales keeps it as denominator
@@ -170,9 +169,9 @@ def test_mul_agrees_with_term_by_term_reference(p):
     for alpha, beta in ((a, b), (a / b, one / (a + b))):
         A = make_algebra(p, alpha, beta, rat)
         for _ in range(3):
-            s = random_nonzero_element(rng, A, density, scalar_sampler=poly)
-            t = random_nonzero_element(rng, A, density, scalar_sampler=poly)
-            u = random_nonzero_element(rng, A, density, scalar_sampler=frac)
+            s = random_nonzero_element(rng, A, density)
+            t = random_nonzero_element(rng, A, density)
+            u = random_nonzero_element(rng, A, density, sample=frac)
             _assert_matches_reference(A, s, t)
             _assert_matches_reference(A, A.scale(shared, s), A.scale(shared, t))
             _assert_matches_reference(A, u, t)
@@ -197,8 +196,8 @@ def test_laurent_mul_agrees_with_term_by_term_reference(p):
     den = lau.one() + lau.gen("a") + lau.gen("b")
     series = lambda r: random_poly_scalar(r, lau, max_degree=1, max_terms=2) / den
     for _ in range(4):
-        s = random_nonzero_element(rng, A, 0.3, scalar_sampler=series)
-        t = random_nonzero_element(rng, A, 0.3, scalar_sampler=series)
+        s = random_nonzero_element(rng, A, 0.3, sample=series)
+        t = random_nonzero_element(rng, A, 0.3, sample=series)
         _assert_matches_reference(A, s, t)
 
 
@@ -432,7 +431,7 @@ def test_norm_examples():
     a, b = field.gen("a"), field.gen("b")
     A = make_algebra(2, a, b, field)
     lam = a
-    assert A.norm_Fx(A.scalar(lam) + A.x()) == field.parse("a^2")
+    assert A.norm_Fx(A.scalar(lam) + A.x()) == parse_scalar("a^2", field)
     assert A.norm_Fx(A.x()) == a
     A1 = make_algebra(2, field.one(), a, field)
     assert A1.norm_Fx(A1.one() + A1.x()) == field.one()
@@ -544,7 +543,7 @@ def test_is_scalar():
 def test_is_scalar_over_laurent_decides_only_on_certified_terms():
     field = FieldDescriptor("laurent", 3, 5)
     A = make_algebra(3, field.one(), field.gen("a"), field)
-    u = field.parse("1/(1+a)")
+    u = parse_scalar("1/(1+a)", field)
     remainder = u * (1 + field.gen("a")) - 1  # 0 + O(a^5): no certified term
     assert A.scalar(u).is_scalar() == u
     assert A.from_entries({(0, 0): u, (1, 0): u, (0, 1): remainder}).is_scalar() is None

@@ -21,7 +21,9 @@ from palgebra import (
     valuation,
 )
 from palgebra.fields import INF
-from palgebra.sampling import random_poly_scalar, random_rational_function
+from palgebra.sampling import random_poly_scalar
+
+from support import random_rational_function
 
 RAT2 = FieldDescriptor("rational", 2)
 RAT3 = FieldDescriptor("rational", 3)
@@ -285,7 +287,6 @@ def test_value_arithmetic():
     assert v == Value(Fraction(1, 2), Fraction(0))
     assert v * 2 == Value.of(1, 0)
     assert v + v == Value.of(1, 0)
-    assert v.in_lattice(2) and not v.in_lattice(3)
 
 
 # --- field descriptors -------------------------------------------------------

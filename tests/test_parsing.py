@@ -13,7 +13,8 @@ from palgebra import (
     parse_scalar,
 )
 from palgebra.parsing import MAX_NESTING
-from palgebra.sampling import random_element, random_rational_function
+
+from support import random_element, random_rational_function
 
 RAT5 = FieldDescriptor("rational", 5)
 RAT2 = FieldDescriptor("rational", 2)

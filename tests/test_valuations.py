@@ -15,8 +15,9 @@ from palgebra import (
     counterexample_check,
     make_algebra,
 )
-from palgebra.sampling import random_poly_scalar
 from palgebra.valuations import ResiduePoly, _hermite_2col
+
+from support import random_element
 
 
 def laurent_field(p, precision=8):
@@ -54,8 +55,8 @@ def test_gauss_value_multiplicative(p, slot):
     rng = random.Random(1000 + p)
     pairs = 0
     while pairs < 200:
-        s = _random_poly_element(rng, A)
-        t = _random_poly_element(rng, A)
+        s = random_element(rng, A, density=0.3, max_degree=2)
+        t = random_element(rng, A, density=0.3, max_degree=2)
         if s.is_zero() or t.is_zero():
             continue
         prod = A.mul(s, t)
@@ -69,8 +70,8 @@ def test_gauss_value_ultrametric(p):
     A = va.algebra
     rng = random.Random(1100 + p)
     for _ in range(25):
-        s = _random_poly_element(rng, A)
-        t = _random_poly_element(rng, A)
+        s = random_element(rng, A, density=0.3, max_degree=2)
+        t = random_element(rng, A, density=0.3, max_degree=2)
         if s.is_zero() or t.is_zero() or (s + t).is_zero():
             continue
         v = va.gauss_value(s + t)
@@ -86,21 +87,10 @@ def test_value_of_pth_power(p):
     A = va.algebra
     rng = random.Random(1200 + p)
     for _ in range(8):
-        t = _random_poly_element(rng, A)
+        t = random_element(rng, A, density=0.3, max_degree=2)
         if t.is_zero():
             continue
         assert va.gauss_value(A.power(t, p)) == va.gauss_value(t) * p
-
-
-def _random_poly_element(rng, A, density=0.3):
-    entries = {}
-    for i in range(A.p):
-        for j in range(A.p):
-            if rng.random() < density:
-                c = random_poly_scalar(rng, A.field, max_degree=2, max_terms=2)
-                if not c.is_zero():
-                    entries[(i, j)] = c
-    return A.from_entries(entries)
 
 
 # --- residues ------------------------------------------------------------------
@@ -150,7 +140,7 @@ def test_residue_multiplicative_on_units(p):
 
 def _random_unit(rng, A, va):
     while True:
-        t = _random_poly_element(rng, A)
+        t = random_element(rng, A, density=0.3, max_degree=2)
         if t.is_zero():
             continue
         if va.gauss_value(t) == Value.of(0, 0):
