@@ -252,39 +252,54 @@ class SymbolAlgebra:
         monic polynomial of degree at most p over the center, so the powers
         1, t, ..., t^p are linearly dependent.  The minimal dependency is
         found by forward elimination: each power is a row, reduced against
-        the earlier rows in the order they were added, each row's pivot
-        being its smallest monomial.  A nonzero constant term inverts t, a
+        the earlier rows in the order they were added.  A row's pivot is its
+        smallest monomial with a certified coefficient; the row is kept
+        undivided beside its pivot value and divided only where a later
+        power meets the pivot.  A row with entries but no certified one
+        raises PrecisionExhausted.  A nonzero constant term inverts t, a
         zero constant term hands back the dependency tail as a zero-divisor
         witness.  The result is verified by multiplication on both sides.
         """
         self._check(t)
         p = self.p
         zero, one = self._zero, self._one
-        basis = []  # (pivot, row, history) with row = sum(history[m] * t^m)
+        basis = []  # (pivot, pivot value, row, history), row = sum(history[m] * t^m)
         powers = [self.one()]
         for k in range(p + 1):
             if k:
                 powers.append(self.mul(powers[-1], t))
-            row = powers[k]
+            row = dict(powers[k].entries)
             hist = [one if m == k else zero for m in range(p + 1)]
             # each basis row vanishes at the pivots of the rows before it, so
             # one pass in insertion order clears every pivot
-            for piv, brow, bhist in basis:
-                f = row.coeff(*piv)
-                if not f._surely_zero():
-                    row = self.sub(row, self.scale(f, brow))
-                    hist = [a - f * b for a, b in zip(hist, bhist)]
-            if row.is_zero():
+            for piv, pval, brow, bhist in basis:
+                f = row.get(piv)
+                if f is not None and not f._surely_zero():
+                    q = -(f / pval)
+                    for ij, c in brow.items():
+                        d = q * c
+                        row[ij] = row[ij] + d if ij in row else d
+                    hist = [a + q * b for a, b in zip(hist, bhist)]
+            row = self._grid(row).entries
+            if not row:
                 return self._resolve_dependency(t, powers, hist)
-            piv = min(row.entries)
-            inv = one / row.entries[piv]
-            basis.append((piv, self.scale(inv, row), [inv * v for v in hist]))
+            certified = [ij for ij, c in row.items() if not c._certified_zero()]
+            if not certified:
+                raise PrecisionExhausted("window too small to find a pivot")
+            piv = min(certified)
+            basis.append((piv, row[piv], row, hist))
         raise WitnessVerificationFailed("powers 1..t^p were independent")
 
     def _resolve_dependency(self, t, powers, coeffs):
         """Turn a dependency sum(coeffs[i] * t^i) = 0 into an inverse or a
         zero-divisor witness; coeffs came from a minimal dependency, so the
-        tail sum is nonzero whenever the constant term vanishes."""
+        tail sum is nonzero whenever the constant term vanishes.
+
+        The inverse is lam * tail with lam = -1/coeffs[0].  lam is a central
+        scalar, so the two-sided check multiplies tail, not the inverse, by
+        t and scales the product: tail is polynomial whenever t and the
+        dependency are, and its products then divide no coefficient.
+        """
         tail = self.zero()
         for i in range(1, len(powers)):
             c = coeffs[i]
@@ -295,13 +310,13 @@ class SymbolAlgebra:
             if tail.is_zero() or not self.certified_equal(self.mul(tail, t), self.zero()):
                 raise WitnessVerificationFailed("bad zero-divisor witness")
             raise NotInvertible("element is a zero divisor", witness=tail)
-        s = self.scale(-(self.field.one() / c0), tail)
+        lam = -(self.field.one() / c0)
         if not (
-            self.certified_equal(self.mul(s, t), self.one())
-            and self.certified_equal(self.mul(t, s), self.one())
+            self.certified_equal(self.scale(lam, self.mul(tail, t)), self.one())
+            and self.certified_equal(self.scale(lam, self.mul(t, tail)), self.one())
         ):
             raise WitnessVerificationFailed("solved inverse failed the two-sided check")
-        return s
+        return self.scale(lam, tail)
 
     def conjugate(self, u, t):
         """u * t * u^(-1)."""

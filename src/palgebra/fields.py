@@ -436,32 +436,37 @@ class LaurentScalar:
             return m_inv
         if w.la == -INF:
             raise PrecisionExhausted("cannot bound the inverse's support")
-        # every term of w is lex-positive: either eb >= 1, or eb == 0 with
-        # ea >= 1.  Powers of w escape a target box through the axes those
-        # term kinds feed, so only those axes need truncating.
+        # Every true term of w is lex-positive: eb >= 1, or eb == 0 with
+        # ea >= 1, and below b^hb a term w does not store has ea >= ha.  So a
+        # power of w leaves a target box [ea < ta, eb < tb] for good once it
+        # passes the axes that w's terms feed, except that a stored term with
+        # eb >= 1 and ea < 0 lowers the a-exponent, by at most drop per
+        # factor and at most tb - 1 - eb times for a product at b-level eb.
         has_a_terms = any(eb == 0 for _, eb in w.terms)
         has_b_terms = any(eb >= 1 for _, eb in w.terms)
         ta = _bmin(prec, w.ha) if has_a_terms else w.ha
         tb = _bmin(prec, w.hb) if has_b_terms else w.hb
-        drop = max(0, -w.la)
-        if has_a_terms and has_b_terms:
-            # k factors with i of them b-carrying give eb >= i and
-            # ea >= (k - i) + i*la(w); beyond kmax both axes are out
-            kmax = int(ta) + max(0, int(tb) - 1) * (1 + drop) + 1
-        elif has_a_terms:
-            kmax = int(ta) + 1
-        else:
-            kmax = int(tb) + 1
-        neg_w = -w
-        acc = LaurentScalar.one(p, prec)
-        term = LaurentScalar.one(p, prec)
-        for _ in range(kmax):
-            term = (term * neg_w).truncated(ta, tb)
-            if not term.terms:
-                break
-            acc = acc + term
-        acc = acc.truncated(ta, tb)
-        out = acc * m_inv
+        drop = max(0, -min((ea for ea, eb in w.terms if eb), default=0))
+        if drop:
+            # tb is finite; a product with an unstored factor has
+            # ea >= ha - (tb - 1) * drop, so the box ends there
+            ta = _bmin(ta, w.ha - (tb - 1) * drop)
+        neg_w = [(m, -c) for m, c in w.terms.items()]
+        acc = {(0, 0): 1}
+        term = {(0, 0): 1}
+        while term:
+            # the stored products that can still reach the box; once none
+            # is left, no later power reaches it either
+            nxt = {}
+            for (a1, b1), c1 in term.items():
+                for (a2, b2), c2 in neg_w:
+                    ea, eb = a1 + a2, b1 + b2
+                    if eb < tb and ea < (ta + (tb - 1 - eb) * drop if drop else ta):
+                        nxt[(ea, eb)] = (nxt.get((ea, eb), 0) + c1 * c2) % p
+            term = {m: c for m, c in nxt.items() if c}
+            for m, c in term.items():
+                acc[m] = (acc.get(m, 0) + c) % p
+        out = LaurentScalar(p, prec, acc, ta, tb) * m_inv
         # tracked lower bounds over-count error compounding; the true ones
         # follow from the series shape
         la = -k0 if w.la >= 0 else -INF

@@ -10,8 +10,9 @@ Grammar (whitespace insignificant):
 Scalar expressions know the names ``a`` and ``b``; element expressions add
 ``x`` and ``y`` and multiply noncommutatively in source order.  Extra names
 may be supplied through an environment of let-bindings.  Exponents are
-nonnegative integers.  Parentheses and unary minus together may nest at
-most ``MAX_NESTING`` deep; deeper input is a syntax error.
+nonnegative integers of at most ``MAX_EXPONENT``.  Parentheses and unary
+minus together may nest at most ``MAX_NESTING`` deep.  Input past either
+bound is a syntax error.
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ _OPS = set("+-*/^()")
 # Each level of nesting costs the parser a few Python frames; this bound
 # keeps the deepest accepted expression well inside the recursion limit.
 MAX_NESTING = 100
+
+# A power's cost grows with its exponent far faster than the input's length:
+# (1+a+b)^n over F_p(a, b) with p > n has n^2/2 terms, and squaring them
+# costs about n^4.  At this bound the worst case measured, that power at
+# p = 10007, takes 0.8 s; n = 128 takes 2.2 s and n = 200 over 8 s.
+MAX_EXPONENT = 100
 
 
 def tokenize(text):
@@ -144,7 +151,10 @@ class _Parser:
                 if etok.kind != "INT":
                     raise ExprSyntaxError("expected a nonnegative integer exponent", etok.pos)
                 self.advance()
-                value = value ** int(etok.text)
+                n = int(etok.text)
+                if n > MAX_EXPONENT:
+                    raise ExprSyntaxError(f"exponent {n} is larger than {MAX_EXPONENT}", etok.pos)
+                value = value ** n
             else:
                 return value
 

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: the source path, the samplers, the
-per-coefficient product oracle and the dense inverse oracle."""
+per-coefficient product oracle, the dense inverse oracle and the Laurent
+expansion oracle."""
 
 from pathlib import Path
 
@@ -133,3 +134,33 @@ def _solve_or_null(matrix, rhs, zero, one):
     for col, r in pivot_of_col.items():
         vec[col] = -m[r][free]
     return "null", vec
+
+
+# --- reference path: Laurent expansion of a rational function ----------------
+# An independent cross-check for LaurentScalar.inverse: the terms of num/den in
+# F_p((a))((b)) solved one by one from den * q = num, b-level by b-level and
+# upward in a inside each level, with no series inverse.
+
+def laurent_expansion(c, ta, tb):
+    """The terms of the rational scalar c with ea < ta and eb < tb."""
+    p = c.p
+    num, den = c.num, c.den
+    j0 = min(eb for _, eb in den)
+    k0 = min(ea for ea, eb in den if eb == j0)
+    c0_inv = pow(den[(k0, j0)], -1, p)
+    rest = [(da - k0, db - j0, d) for (da, db), d in den.items() if (da, db) != (k0, j0)]
+    # a term of den one b-level up and drop a-levels down ties q at (e, f)
+    # to q at (e + drop, f - 1): q has no term below low - f * drop at level
+    # f0 + f, and level f needs its terms up to ta + (tb - 1 - f) * drop
+    drop = max([0] + [-da for da, db, _ in rest if db])
+    low = min(ea for ea, _ in num) - k0
+    f0 = min(eb for _, eb in num) - j0
+    q = {}
+    for f in range(f0, tb):
+        for e in range(low - (f - f0) * drop, ta + (tb - 1 - f) * drop):
+            s = num.get((e + k0, f + j0), 0)
+            for da, db, d in rest:
+                s -= d * q.get((e - da, f - db), 0)
+            if s % p:
+                q[(e, f)] = s * c0_inv % p
+    return {m: v for m, v in q.items() if m[0] < ta}

@@ -20,10 +20,11 @@ from palgebra import (
     parse_scalar,
 )
 from palgebra import polys
-from palgebra.sampling import random_fx_element, random_poly_scalar
+from palgebra.sampling import random_fx_element, random_monomial_scalar, random_poly_scalar
 
 from support import (
     inverse_dense,
+    laurent_expansion,
     mul_reference,
     random_element,
     random_nonzero_element,
@@ -227,9 +228,11 @@ def test_mul_reduces_each_output_coefficient_once(p, monkeypatch):
 
 
 def test_inverse_reduces_each_power_forward_only(monkeypatch):
-    # each power is reduced once against each earlier row, and no row is
-    # rewritten once it is in the basis: 482 to 507 gcds per inverse here.
-    # Clearing each new pivot from the earlier rows as well took 891 to 1,010.
+    # each power is reduced once against each earlier row, no row is
+    # rewritten once it is in the basis, and a row is divided by its pivot
+    # only where a later power meets it: 363 to 370 gcds per inverse here.
+    # Normalising every row took 482 to 507; clearing each new pivot from the
+    # earlier rows as well took 891 to 1,010.
     p = 5
     A = rational_algebra(p)
     rng = random.Random(5)
@@ -243,7 +246,27 @@ def test_inverse_reduces_each_power_forward_only(monkeypatch):
     for t in dense:
         calls.clear()
         A.inverse(t)
-        assert len(calls) <= 650
+        assert len(calls) <= 400
+
+
+def test_inverse_of_u_y_power_divides_no_basis_row(monkeypatch):
+    # the powers of u*y^k lie in distinct y-columns until (u*y^k)^p, a
+    # polynomial scalar, so no basis row is ever divided and the check
+    # multiplies polynomials: the gcds left are those of lam * tail, one per
+    # coefficient.  Normalising every basis row and checking with the
+    # rational inverse took 17 to 36.
+    p = 5
+    A = rational_algebra(p)
+    rng = random.Random(11)
+    calls = []
+    gcd = polys.p_gcd
+    monkeypatch.setattr(polys, "p_gcd", lambda f, g, q: calls.append(1) or gcd(f, g, q))
+    for _ in range(8):
+        t = A.mul(random_fx_element(rng, A), A.power(A.y(), rng.randrange(1, p)))
+        calls.clear()
+        s = A.inverse(t)
+        assert len(calls) <= 2 * p
+        assert A.mul(s, t) == A.one() and A.mul(t, s) == A.one()
 
 
 # --- commutators ---------------------------------------------------------------
@@ -321,11 +344,32 @@ def test_inverse_round_trip_random(p):
         done += 1
 
 
+def _laurent_copy(L, t):
+    """The element t over F_p(a, b), whose coefficients are polynomials,
+    as an element of the Laurent algebra L."""
+    return L.from_entries({ij: L.field.from_terms(c.num) for ij, c in t.entries.items()})
+
+
+def _agrees_on_certified_terms(approx, exact):
+    """Count of coefficients compared: each coefficient of the Laurent
+    element approx agrees with the expansion of the rational one in exact on
+    every term its window certifies (up to a-exponent 40 when unbounded)."""
+    p = exact.algebra.p
+    for i in range(p):
+        for j in range(p):
+            c, got = exact.coeff(i, j), approx.coeff(i, j)
+            ta, tb = min(got.ha, 40), min(got.hb, 40)
+            want = {} if c.is_zero() else laurent_expansion(c, ta, tb)
+            have = {m: v for m, v in got.terms.items() if m[0] < ta and m[1] < tb}
+            assert have == want, (i, j)
+    return p * p
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_laurent_inverse_matches_exact_inverse_inside_window(p):
     # the exact inverse over F_p(a, b) is the oracle for window soundness:
-    # each coefficient num/den, expanded as L(num)/L(den), must agree with
-    # the Laurent engine's inverse on every term either window certifies
+    # each coefficient num/den, expanded by support.laurent_expansion, must
+    # agree with the Laurent engine's inverse on every term it certifies
     rat = FieldDescriptor("rational", p)
     R = make_algebra(p, rat.one(), rat.gen("a"), rat)
     compared = 0
@@ -334,14 +378,7 @@ def test_laurent_inverse_matches_exact_inverse_inside_window(p):
         nonlocal compared
         lau = FieldDescriptor("laurent", p, window)
         L = make_algebra(p, lau.one(), lau.gen("a"), lau)
-        tl = L.from_entries({ij: lau.from_terms(c.num) for ij, c in t.entries.items()})
-        approx = L.inverse(tl)
-        for i in range(p):
-            for j in range(p):
-                c = exact.coeff(i, j)
-                want = lau.zero() if c.is_zero() else lau.from_terms(c.num) / lau.from_terms(c.den)
-                assert (approx.coeff(i, j) - want)._certified_zero(), (window, i, j)
-                compared += 1
+        compared += _agrees_on_certified_terms(L.inverse(_laurent_copy(L, t)), exact)
 
     for window in (3, 6, 8):
         rng = random.Random(1000 * p + window)
@@ -362,6 +399,35 @@ def test_laurent_inverse_matches_exact_inverse_inside_window(p):
         t = R.from_entries({(0, 1): a, (0, 2): 1, (1, 0): 3 * b, (1, 1): 4 * a})
         compare(6, t, R.inverse(t))
     assert compared == (3 * 8 + (p == 5)) * p * p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_laurent_inverse_of_general_elements_is_certified_or_undecided(p):
+    # general elements with monomial coefficients in [1, a), [1, b) and
+    # [a, b): an inverse is undecided (PrecisionExhausted) or agrees with the
+    # exact inverse on every certified term.  Any other exception fails the
+    # test; WitnessVerificationFailed is one that pivoting on an uncertified
+    # entry, or a series inverse that certified a wrong term, used to raise.
+    rat = FieldDescriptor("rational", p)
+    sample = lambda r: random_monomial_scalar(r, rat, max_degree=1)
+    decided = 0
+    for window in (3, 6, 8):
+        lau = FieldDescriptor("laurent", p, window)
+        for alpha, beta in (("1", "a"), ("1", "b"), ("a", "b")):
+            R = make_algebra(p, parse_scalar(alpha, rat), parse_scalar(beta, rat), rat)
+            L = make_algebra(p, parse_scalar(alpha, lau), parse_scalar(beta, lau), lau)
+            rng = random.Random(f"{p} {window} {alpha} {beta}")
+            for _ in range(7):
+                t = random_nonzero_element(rng, R, 0.3, sample=sample)
+                try:
+                    approx = L.inverse(_laurent_copy(L, t))
+                except (PrecisionExhausted, NotInvertible):
+                    continue
+                _agrees_on_certified_terms(approx, R.inverse(t))
+                decided += 1
+    # most p = 5 draws exhaust the window (ROADMAP item 3); each prime still
+    # decides some
+    assert decided >= {2: 60, 3: 40, 5: 2}[p]
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -215,6 +215,14 @@ def test_undecided_laurent_witness_is_precision_exhausted(capsys, argv):
     assert err.startswith("palgebra: PrecisionExhausted:")
 
 
+def test_laurent_slot_equal_to_one_up_to_its_window(capsys):
+    # beta = (1+a)/(1+a) = 1 + O(a^5): inverting it once raised OverflowError
+    code, out, err = run(capsys, "link", "-p", "3", "--alpha", "a", "--gamma", "a+b",
+                         "--beta", "(1+a)/(1+a)", "--field", "laurent", "--precision", "5")
+    assert (code, out) == (1, "")
+    assert err.startswith("palgebra: PrecisionExhausted:")
+
+
 def test_zero_divisor_generator_exits_1(capsys):
     # N(x) = x^2 + x = 0 in [0, b)_2, so w = x y is nilpotent
     code, _, err = run(capsys, "scale", "-p", "2", "--alpha", "0", "--beta", "b", "--u", "x")
@@ -258,6 +266,17 @@ def test_deep_nesting_exit_2(capsys):
     assert proc.stdout == ""
     assert proc.stderr.startswith("palgebra: syntax error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_large_exponent_exit_2(capsys):
+    # (1+a+b)^2186 took 8 s at p = 3 before exponents were bounded
+    code, out, err = run(capsys, "eval", "-p", "3", "--alpha", "a", "--beta", "b",
+                         "--expr", "x", "--let", "q=(1+a+b)^2186")
+    assert (code, out) == (2, "")
+    assert err.startswith("palgebra: syntax error: exponent 2186 is larger than")
+    code, out, err = run(capsys, "eval", "-p", "7", "--alpha", "a", "--beta", "b",
+                         "--expr", "(x+a)^500")
+    assert (code, out) == (2, "")
 
 
 def test_math_failure_exit_1(capsys):

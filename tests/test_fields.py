@@ -20,10 +20,10 @@ from palgebra import (
     parse_scalar,
     valuation,
 )
-from palgebra.fields import INF
+from palgebra.fields import INF, certified_equal
 from palgebra.sampling import random_poly_scalar
 
-from support import random_rational_function
+from support import laurent_expansion, random_rational_function
 
 RAT2 = FieldDescriptor("rational", 2)
 RAT3 = FieldDescriptor("rational", 3)
@@ -146,6 +146,19 @@ def test_monomial_inverse_is_exact():
     assert (2 * (a * a)) * inv == field.one()
 
 
+def test_inverse_of_one_up_to_the_window():
+    # 1 + O(a^5): the correction w = 0 + O(a^5) stores no terms, so the
+    # inverse is the leading monomial's inverse certified to w's window
+    field = FieldDescriptor("laurent", 3, 5)
+    a, one = field.gen("a"), field.one()
+    x = (one + a) / (one + a)
+    assert x.terms == {(0, 0): 1} and (x.ha, x.hb) == (5, INF)
+    inv = x.inverse()
+    assert inv.terms == {(0, 0): 1} and (inv.ha, inv.hb) == (5, INF)
+    assert certified_equal(x * inv, one)
+    assert certified_equal((x * a).inverse() * a, one)
+
+
 def test_inverse_of_a_plus_b_drags_a_exponents():
     field = FieldDescriptor("laurent", 5, 6)
     a, b = field.gen("a"), field.gen("b")
@@ -194,11 +207,11 @@ def test_window_shrinks_through_products():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_laurent_expression_matches_exact_value_inside_window(p):
-    # the exact value over F_p(a, b), expanded into the window as
-    # L(num)/L(den), is the oracle for window soundness: the Laurent value
-    # of the same text must agree with it on every term the window certifies
+    # the exact value over F_p(a, b), expanded by support.laurent_expansion,
+    # is the oracle for window soundness: the Laurent value of the same text
+    # must agree with it on every term the window certifies
     rat = FieldDescriptor("rational", p)
-    for window in (3, 6):
+    for window in (3, 6, 8):
         lau = FieldDescriptor("laurent", p, window)
         rng = random.Random(100 * p + window)
         done = 0
@@ -209,12 +222,28 @@ def test_laurent_expression_matches_exact_value_inside_window(p):
             text = f"({f})/({g}) + {h}"
             exact = parse_scalar(text, rat)
             approx = parse_scalar(text, lau)
-            want = lau.zero() if exact.is_zero() else (
-                lau.from_terms(exact.num) / lau.from_terms(exact.den))
-            assert (approx - want)._certified_zero(), (window, text)
+            ta, tb = min(approx.ha, 40), min(approx.hb, 40)
+            want = {} if exact.is_zero() else laurent_expansion(exact, ta, tb)
+            have = {m: c for m, c in approx.terms.items() if m[0] < ta and m[1] < tb}
+            assert have == want, (window, text)
             # the window certifies a nonempty box of terms
             assert approx.ha > approx.la and approx.hb > approx.lb
             done += 1
+
+
+@pytest.mark.parametrize("p, window, text, ha, hb", [
+    (2, 8, "1/(1+a+b/a)", 8, 8),
+    (5, 8, "1/(1+a+b/a)", 8, 8),
+    (5, 6, "b/(a^2+a^3+b)", 4, 7),
+])
+def test_series_inverse_through_a_term_of_negative_a_exponent(p, window, text, ha, hb):
+    # w = b/a lowers the a-exponent of a product, so a power of w can carry
+    # terms back into the window after a power that stores none there.  The
+    # inverse once stopped at that power and certified wrong terms.
+    rat = FieldDescriptor("rational", p)
+    approx = parse_scalar(text, FieldDescriptor("laurent", p, window))
+    assert (approx.ha, approx.hb) == (ha, hb)
+    assert approx.terms == laurent_expansion(parse_scalar(text, rat), ha, hb)
 
 
 def test_laurent_zero_division_and_precision_errors():

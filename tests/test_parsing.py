@@ -12,7 +12,7 @@ from palgebra import (
     parse_element,
     parse_scalar,
 )
-from palgebra.parsing import MAX_NESTING
+from palgebra.parsing import MAX_EXPONENT, MAX_NESTING
 
 from support import random_element, random_rational_function
 
@@ -79,6 +79,22 @@ def test_nesting_limit():
     A = make_algebra(2, RAT2.gen("a"), RAT2.gen("b"), RAT2)
     with pytest.raises(ExprSyntaxError):
         parse_element("(" * 3000 + "x" + ")" * 3000, A)
+
+
+def test_exponent_limit():
+    a = RAT5.gen("a")
+    n = MAX_EXPONENT
+    assert parse_scalar(f"a^{n}", RAT5) == a ** n
+    # each exponent of a chain is bounded on its own
+    assert parse_scalar(f"a^{n}^2", RAT5) == a ** (2 * n)
+    for text in (f"a^{n + 1}", "(1+a+b)^2186", f"a^2^{n + 1}", "b^" + "9" * 400):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_scalar(text, RAT5)
+        assert exc.value.position == text.rindex("^") + 1
+    A = make_algebra(2, RAT2.gen("a"), RAT2.gen("b"), RAT2)
+    assert parse_element(f"y^{n}", A) == A.scalar(RAT2.gen("b") ** (n // 2))
+    with pytest.raises(ExprSyntaxError):
+        parse_element(f"(x+y)^{n + 1}", A)
 
 
 def test_unary_minus_and_integers():
