@@ -10,8 +10,11 @@ nonzero coefficients.
 Products are brought to normal form by first moving powers of y past
 powers of x (y^j x^c = (x+j)^c y^j, expanded binomially), then reducing
 x-degrees of p and above through x^p = x + alpha, then y-degrees through
-y^p = beta.  The expansions of all basis-monomial products are cached per
-algebra; elements and handles are immutable.
+y^p = beta.  One reduction step suffices, so every product of basis
+monomials is a sum of (n0 + n1*alpha) * beta^w x^i y^j with integer
+structure constants n0, n1 in F_p and w in {0, 1}.  The integer expansions
+depend only on p and are shared by every algebra; each algebra builds each
+scalar constant once.  Elements and handles are immutable.
 
 Products run on numerators over one denominator: each operand is written
 as an element with polynomial coefficients over the lcm of its
@@ -19,12 +22,16 @@ coefficients' denominators, the numerators are multiplied with polynomial
 arithmetic alone, and each output coefficient is divided once by the
 product of the two denominators.  Canonical rational forms are unique, so
 the result is the same as reducing every scalar product and partial sum.
+Each term pair's numerator product is formed once and summed into a group
+per output monomial and whole constant; each group is multiplied by its
+constant once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import polys
 from .errors import (
@@ -125,32 +132,22 @@ class SymbolAlgebra:
             raise ValueError("element belongs to a different algebra")
 
     # normal-form multiplication ----------------------------------------------
-    def _basis_product(self, i1, j1, i2, j2):
-        key = (i1, j1, i2, j2)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        p = self.p
-        # x^i1 y^j1 x^i2 y^j2 = x^i1 (x + j1)^i2 y^(j1 + j2)
-        coeffs = [self._zero] * (i1 + i2 + 1)
-        for k in range(i2 + 1):
-            c = (_COMB(i2, k) * pow(j1, i2 - k, p)) % p
-            if c:
-                coeffs[i1 + k] = self.field.from_int(c)
-        # reduce x-degree with x^p = x + alpha until it is below p
-        while len(coeffs) > p:
-            top = coeffs.pop()
-            d = len(coeffs)  # popped exponent
-            e = d - p
-            coeffs[e + 1] = coeffs[e + 1] + top
-            coeffs[e] = coeffs[e] + top * self.alpha
-        j = j1 + j2
-        if j >= p:
-            j -= p
-            coeffs = [c * self.beta for c in coeffs]
-        expansion = tuple(((e, j), c) for e, c in enumerate(coeffs) if not c._surely_zero())
-        self._cache[key] = expansion
-        return expansion
+    def _constant(self, n0, n1, wrap):
+        """The scalar (n0 + n1*alpha) * beta^wrap, built once per algebra;
+        an exact zero is self._zero and an exact one is self._one."""
+        key = (n0, n1, wrap)
+        k = self._cache.get(key)
+        if k is None:
+            from_int = self.field.from_int
+            k = from_int(n0) + from_int(n1) * self.alpha
+            if wrap:
+                k = k * self.beta
+            if k._surely_zero():
+                k = self._zero
+            elif k == self._one:
+                k = self._one
+            self._cache[key] = k
+        return k
 
     def _over_common_denominator(self, t):
         """(numerators, d) with t = numerators / d: every numerator is a
@@ -191,21 +188,37 @@ class SymbolAlgebra:
         # coefficient once by the product of the two denominators
         s_num, s_den = self._over_common_denominator(s)
         t_num, t_den = self._over_common_denominator(t)
-        acc = {}
+        p = self.p
+        # each pair's product is formed once and summed per output monomial
+        # and whole constant: window bookkeeping distributes over a Laurent
+        # constant only when it is not split into its n0 and alpha parts
+        groups = {}
         for (i1, j1), c1 in s_num.items():
             for (i2, j2), c2 in t_num.items():
                 c12 = c1 * c2
-                for ij, k in self._basis_product(i1, j1, i2, j2):
+                j = j1 + j2
+                wrap = j >= p
+                if wrap:
+                    j -= p
+                for i, n0, n1 in _x_expansion(p, i1, j1, i2):
+                    key = (i, j, n0, n1, wrap)
                     # a sum starts from its first term, not from an exact
                     # zero: a Laurent term keeps its own lower bounds la/lb,
                     # which are tighter than min(0, .) and still sound
-                    term = c12 * k
-                    acc[ij] = acc[ij] + term if ij in acc else term
+                    groups[key] = groups[key] + c12 if key in groups else c12
+        acc = {}
+        for (i, j, n0, n1, wrap), c in groups.items():
+            k = self._constant(n0, n1, wrap)
+            if k is self._zero:
+                continue
+            term = c if k is self._one else c * k
+            ij = (i, j)
+            acc[ij] = acc[ij] + term if ij in acc else term
         if s_den is None and t_den is None:
             return self._grid(acc)
         den = t_den if s_den is None else s_den if t_den is None else s_den * t_den
-        # with rational slots a coefficient k of a basis product, and so a
-        # sum, can carry a denominator of its own; the division reduces it too
+        # with rational slots a constant, and so a sum, can carry a
+        # denominator of its own; the division reduces it too
         return self._grid({ij: c / den for ij, c in acc.items()})
 
     def add(self, s, t):
@@ -298,7 +311,9 @@ class SymbolAlgebra:
         The inverse is lam * tail with lam = -1/coeffs[0].  lam is a central
         scalar, so the two-sided check multiplies tail, not the inverse, by
         t and scales the product: tail is polynomial whenever t and the
-        dependency are, and its products then divide no coefficient.
+        dependency are, and its products then divide no coefficient.  Over a
+        Laurent field the check must certify the constant term 1 on both
+        sides; a window too small for that raises PrecisionExhausted.
         """
         tail = self.zero()
         for i in range(1, len(powers)):
@@ -311,11 +326,15 @@ class SymbolAlgebra:
                 raise WitnessVerificationFailed("bad zero-divisor witness")
             raise NotInvertible("element is a zero divisor", witness=tail)
         lam = -(self.field.one() / c0)
-        if not (
-            self.certified_equal(self.scale(lam, self.mul(tail, t)), self.one())
-            and self.certified_equal(self.scale(lam, self.mul(t, tail)), self.one())
-        ):
-            raise WitnessVerificationFailed("solved inverse failed the two-sided check")
+        for prod in (self.mul(tail, t), self.mul(t, tail)):
+            check = self.scale(lam, prod)
+            if not self.certified_equal(check, self.one()):
+                raise WitnessVerificationFailed("solved inverse failed the two-sided check")
+            # a window that ends before a^0 b^0 certifies no term, so the
+            # check above holds whatever the inverse; with no certified term
+            # left in check - 1, a certified constant term is exactly 1
+            if check.coeff(0, 0)._certified_zero():
+                raise PrecisionExhausted("window too small to certify the inverse")
         return self.scale(lam, tail)
 
     def conjugate(self, u, t):
@@ -544,6 +563,26 @@ class AdComponents:
 
     def __len__(self):
         return len(self.parts)
+
+
+# shared by every algebra and filled key by key: an eager p^3 table would
+# stall a large p, and a bounded one stays small across many primes
+@lru_cache(maxsize=1 << 13)
+def _x_expansion(p, i1, j1, i2):
+    """x^i1 y^j1 x^i2 = sum((n0 + n1*alpha) x^i) y^j1 as the triples
+    (i, n0, n1) with n0, n1 in F_p, not both zero, in increasing i."""
+    # y^j1 x^i2 = (x + j1)^i2 y^j1, expanded binomially
+    n0 = [0] * (i1 + i2 + 1)
+    for k in range(i2 + 1):
+        n0[i1 + k] = _COMB(i2, k) * pow(j1, i2 - k, p) % p
+    n1 = [0] * p
+    # degrees reach at most 2p - 2, so one step of x^p = x + alpha leaves
+    # each of them below p
+    for d in range(p, i1 + i2 + 1):
+        n0[d - p + 1] += n0[d]
+        n1[d - p] += n0[d]
+    terms = [(i, n0[i] % p, n1[i] % p) for i in range(min(p, i1 + i2 + 1))]
+    return tuple(term for term in terms if term[1] or term[2])
 
 
 def make_algebra(p, alpha, beta, field):

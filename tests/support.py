@@ -2,6 +2,7 @@
 per-coefficient product oracle, the dense inverse oracle and the Laurent
 expansion oracle."""
 
+from math import comb
 from pathlib import Path
 
 from palgebra import NotInvertible, WitnessVerificationFailed
@@ -47,15 +48,40 @@ def random_rational_function(rng, field, max_degree=2):
 
 
 # --- reference path: products reduced term by term --------------------------
-# The product as SymbolAlgebra.mul formed it before it cleared denominators:
-# every scalar product and partial sum is a reduced scalar.
+# The product as SymbolAlgebra.mul formed it before it cleared denominators
+# and grouped by structure constants: every basis-monomial product is
+# expanded into its own scalar coefficients, and every scalar product and
+# partial sum is a reduced scalar.
+
+def basis_product(A, i1, j1, i2, j2):
+    """x^i1 y^j1 * x^i2 y^j2 in normal form, as ((i, j), coefficient) pairs."""
+    p = A.p
+    zero = A.field.zero()
+    # x^i1 y^j1 x^i2 y^j2 = x^i1 (x + j1)^i2 y^(j1 + j2)
+    coeffs = [zero] * (i1 + i2 + 1)
+    for k in range(i2 + 1):
+        c = (comb(i2, k) * pow(j1, i2 - k, p)) % p
+        if c:
+            coeffs[i1 + k] = A.field.from_int(c)
+    # reduce x-degree with x^p = x + alpha until it is below p
+    while len(coeffs) > p:
+        top = coeffs.pop()
+        e = len(coeffs) - p
+        coeffs[e + 1] = coeffs[e + 1] + top
+        coeffs[e] = coeffs[e] + top * A.alpha
+    j = j1 + j2
+    if j >= p:
+        j -= p
+        coeffs = [c * A.beta for c in coeffs]
+    return [((e, j), c) for e, c in enumerate(coeffs) if not c._surely_zero()]
+
 
 def mul_reference(A, s, t):
     acc = {}
     for (i1, j1), c1 in s.entries.items():
         for (i2, j2), c2 in t.entries.items():
             c12 = c1 * c2
-            for ij, k in A._basis_product(i1, j1, i2, j2):
+            for ij, k in basis_product(A, i1, j1, i2, j2):
                 term = c12 * k
                 acc[ij] = acc[ij] + term if ij in acc else term
     return A.from_entries(acc)
@@ -74,7 +100,7 @@ def inverse_dense(A, t):
     for m in range(n):
         i1, j1 = divmod(m, p)
         for (i2, j2), c2 in t.support():
-            for (i, j), k in A._basis_product(i1, j1, i2, j2):
+            for (i, j), k in basis_product(A, i1, j1, i2, j2):
                 r = i * p + j
                 mt[r][m] = mt[r][m] + c2 * k
     rhs = [one if r == 0 else zero for r in range(n)]

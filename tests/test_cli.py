@@ -223,6 +223,16 @@ def test_laurent_slot_equal_to_one_up_to_its_window(capsys):
     assert err.startswith("palgebra: PrecisionExhausted:")
 
 
+def test_laurent_inverse_with_no_certified_check_exits_1(capsys):
+    # at window 1 the check products certify no term at all, so the inverse
+    # is undecided; it once printed a normal form and "result: PASS"
+    code, out, err = run(capsys, "eval", "-p", "3", "--alpha", "1", "--beta", "a",
+                         "--field", "laurent", "--precision", "1", "--expr",
+                         "1/(a + a*y + b*x*y + a*x*y^2 + a*x^2 + b*x^2*y^2)")
+    assert (code, out) == (1, "")
+    assert err == "palgebra: PrecisionExhausted: window too small to certify the inverse\n"
+
+
 def test_zero_divisor_generator_exits_1(capsys):
     # N(x) = x^2 + x = 0 in [0, b)_2, so w = x y is nilpotent
     code, _, err = run(capsys, "scale", "-p", "2", "--alpha", "0", "--beta", "b", "--u", "x")
