@@ -14,24 +14,30 @@ y^p = beta.  One reduction step suffices, so every product of basis
 monomials is a sum of (n0 + n1*alpha) * beta^w x^i y^j with integer
 structure constants n0, n1 in F_p and w in {0, 1}.  The integer expansions
 depend only on p and are shared by every algebra; each algebra builds each
-scalar constant once.  Elements and handles are immutable.
+constant once, as a numerator over the product of the slots'
+denominators.  Elements and handles are immutable.
 
 Products run on numerators over one denominator: each operand is written
 as an element with polynomial coefficients over the lcm of its
-coefficients' denominators, the numerators are multiplied with polynomial
-arithmetic alone, and each output coefficient is divided once by the
-product of the two denominators.  Canonical rational forms are unique, so
-the result is the same as reducing every scalar product and partial sum.
-Each term pair's numerator product is formed once and summed into a group
-per output monomial and whole constant; each group is multiplied by its
-constant once.
+coefficients' denominators.  Those numerators, and exact Laurent
+coefficients, are polynomials, and a product works on their raw term
+maps: each term pair's product is formed once with unreduced integer
+coefficients and summed into a group per output monomial and whole
+constant, each group is multiplied by its constant once, and each output
+coefficient is reduced mod p once, divided once by the product of the
+operands' and the slots' denominators, and built once.  Canonical
+rational forms are unique, so the result is the same as reducing every
+scalar product and partial sum.  Inexact Laurent series, as coefficients
+or as slots, take the same grouping with one scalar product per term pair
+and per group, whose windows the scalars track.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import polys
 from .errors import (
@@ -51,7 +57,7 @@ _COMB = math.comb
 class SymbolAlgebra:
     """Handle for the algebra with left slot alpha and right slot beta."""
 
-    __slots__ = ("p", "alpha", "beta", "field", "_zero", "_one", "_cache")
+    __slots__ = ("p", "alpha", "beta", "field", "_zero", "_one", "_cache", "_den", "_poly_slots")
 
     def __init__(self, p, alpha, beta, field):
         if not polys.is_prime(p):
@@ -69,6 +75,13 @@ class SymbolAlgebra:
         self._zero = field.zero()
         self._one = field.one()
         self._cache = {}
+        da, db = alpha._denominator(), beta._denominator()
+        self._den = da if db is None else db if da is None else da * db
+        # products run on term maps only when both slots are quotients of
+        # polynomials; an inexact series slot keeps the scalar path
+        self._poly_slots = all(
+            c._terms() is not None or c._denominator() is not None for c in (alpha, beta)
+        )
 
     # identity of handles is by value so rebuilt algebras interoperate
     def __eq__(self, other):
@@ -122,31 +135,46 @@ class SymbolAlgebra:
         return self._grid({(0, 1): self._one})
 
     def from_entries(self, entries):
-        """Element from a map (i, j) -> scalar-or-int with 0 <= i, j < p."""
-        return self._grid(
-            {ij: self.field.from_int(c) if isinstance(c, int) else c for ij, c in entries.items()}
-        )
+        """Element from a map (i, j) -> scalar-or-int with 0 <= i, j < p;
+        a scalar the field does not own raises ValueError."""
+        field = self.field
+        entries = {ij: field.from_int(c) if isinstance(c, int) else c for ij, c in entries.items()}
+        if not all(map(field.owns, entries.values())):
+            raise ValueError("coefficients must be scalars of the base field")
+        return self._grid(entries)
 
     def _check(self, t):
-        if t.algebra != self:
+        # the identity test spares comparing the slots of the same handle
+        if t.algebra is not self and t.algebra != self:
             raise ValueError("element belongs to a different algebra")
 
     # normal-form multiplication ----------------------------------------------
     def _constant(self, n0, n1, wrap):
-        """The scalar (n0 + n1*alpha) * beta^wrap, built once per algebra;
-        an exact zero is self._zero and an exact one is self._one."""
+        """(k, its term map) for the numerator k of (n0 + n1*alpha) * beta^wrap
+        over self._den, the product of the slots' denominators (None when
+        neither has one); built once per algebra.  The term map is None when
+        k is an inexact series; an exact zero k is self._zero and an exact
+        one is self._one."""
         key = (n0, n1, wrap)
         k = self._cache.get(key)
         if k is None:
             from_int = self.field.from_int
-            k = from_int(n0) + from_int(n1) * self.alpha
+            alpha, beta = self.alpha, self.beta
+            da, db = alpha._denominator(), beta._denominator()
+            # alpha = (alpha * da) / da, and beta^wrap * db is beta * db or db
+            if da is None:
+                c = from_int(n0) + from_int(n1) * alpha
+            else:
+                c = from_int(n0) * da + from_int(n1) * (alpha * da)
             if wrap:
-                k = k * self.beta
-            if k._surely_zero():
-                k = self._zero
-            elif k == self._one:
-                k = self._one
-            self._cache[key] = k
+                c = c * (beta if db is None else beta * db)
+            elif db is not None:
+                c = c * db
+            if c._surely_zero():
+                c = self._zero
+            elif c == self._one:
+                c = self._one
+            k = self._cache[key] = (c, c._terms())
         return k
 
     def _over_common_denominator(self, t):
@@ -184,42 +212,82 @@ class SymbolAlgebra:
     def mul(self, s, t):
         self._check(s)
         self._check(t)
-        # multiply numerators, which needs no gcd, then divide each output
-        # coefficient once by the product of the two denominators
-        s_num, s_den = self._over_common_denominator(s)
-        t_num, t_den = self._over_common_denominator(t)
+        if self._poly_slots:
+            # multiply numerators, which needs no gcd, then divide each
+            # output coefficient once by the product of the operands' and
+            # the slots' denominators, over which the constants are written
+            s_num, s_den = self._over_common_denominator(s)
+            t_num, t_den = self._over_common_denominator(t)
+            s_terms = {ij: c._terms() for ij, c in s_num.items()}
+            t_terms = {ij: c._terms() for ij, c in t_num.items()}
+            if None not in s_terms.values() and None not in t_terms.values():
+                return self._mul_terms(s_terms, t_terms, (s_den, t_den, self._den))
+        # inexact series, as coefficients or slots, have no denominators
+        acc = {}
+        for (i, j, n0, n1, wrap), cs in self._groups(s.entries, t.entries, operator.mul).items():
+            k = self._constant(n0, n1, wrap)[0]
+            if k is not self._zero:
+                # a sum starts from its first term, not from an exact zero: a
+                # Laurent term keeps its own lower bounds la/lb, which are
+                # tighter than min(0, .) and still sound
+                c = functools.reduce(operator.add, cs)
+                term = c if k is self._one else c * k
+                ij = (i, j)
+                acc[ij] = acc[ij] + term if ij in acc else term
+        return self._grid(acc)
+
+    def _groups(self, s_entries, t_entries, mul):
+        """Each term pair's product mul(c1, c2), formed once and listed per
+        output monomial and whole constant, as a map (i, j, n0, n1, wrap) ->
+        products.  Window bookkeeping distributes over a Laurent constant
+        only when it is not split into its n0 and alpha parts."""
         p = self.p
-        # each pair's product is formed once and summed per output monomial
-        # and whole constant: window bookkeeping distributes over a Laurent
-        # constant only when it is not split into its n0 and alpha parts
         groups = {}
-        for (i1, j1), c1 in s_num.items():
-            for (i2, j2), c2 in t_num.items():
-                c12 = c1 * c2
+        for (i1, j1), c1 in s_entries.items():
+            for (i2, j2), c2 in t_entries.items():
+                c12 = mul(c1, c2)
                 j = j1 + j2
                 wrap = j >= p
                 if wrap:
                     j -= p
                 for i, n0, n1 in _x_expansion(p, i1, j1, i2):
                     key = (i, j, n0, n1, wrap)
-                    # a sum starts from its first term, not from an exact
-                    # zero: a Laurent term keeps its own lower bounds la/lb,
-                    # which are tighter than min(0, .) and still sound
-                    groups[key] = groups[key] + c12 if key in groups else c12
+                    if key in groups:
+                        groups[key].append(c12)
+                    else:
+                        groups[key] = [c12]
+        return groups
+
+    def _mul_terms(self, s_terms, t_terms, dens):
+        """The product of two elements given as maps (i, j) -> term map of a
+        polynomial numerator, over the product of the denominators in dens
+        (None for an absent one).  Each group's sum and its product with
+        the constant keep unreduced integer coefficients; each output
+        coefficient is reduced mod p once and built once."""
         acc = {}
-        for (i, j, n0, n1, wrap), c in groups.items():
-            k = self._constant(n0, n1, wrap)
-            if k is self._zero:
-                continue
-            term = c if k is self._one else c * k
-            ij = (i, j)
-            acc[ij] = acc[ij] + term if ij in acc else term
-        if s_den is None and t_den is None:
-            return self._grid(acc)
-        den = t_den if s_den is None else s_den if t_den is None else s_den * t_den
-        # with rational slots a constant, and so a sum, can carry a
-        # denominator of its own; the division reduces it too
-        return self._grid({ij: c / den for ij, c in acc.items()})
+        for (i, j, n0, n1, wrap), fs in self._groups(s_terms, t_terms, _raw_mul).items():
+            k = self._constant(n0, n1, wrap)[1]
+            if k:
+                g = fs[0]
+                if len(fs) > 1:
+                    g = dict(g)  # a pair's product may sit in other groups too
+                    for f in fs[1:]:
+                        for m, c in f.items():
+                            g[m] = g.get(m, 0) + c
+                polys.p_mul_into(acc.setdefault((i, j), {}), g, k)
+        den = None
+        for d in dens:
+            if d is not None:
+                den = d if den is None else den * d
+        den = None if den is None else den._terms()
+        p = self.p
+        from_terms = self.field.from_terms
+        entries = {}
+        for ij, c in acc.items():
+            c = polys.p_reduce(c, p)
+            if c:
+                entries[ij] = from_terms(c, den)
+        return AlgElement(self, entries)
 
     def add(self, s, t):
         self._check(s)
@@ -565,9 +633,14 @@ class AdComponents:
         return len(self.parts)
 
 
+def _raw_mul(f, g):
+    """f*g for term maps, with integer coefficients not reduced mod p."""
+    return polys.p_mul_into({}, f, g)
+
+
 # shared by every algebra and filled key by key: an eager p^3 table would
 # stall a large p, and a bounded one stays small across many primes
-@lru_cache(maxsize=1 << 13)
+@functools.lru_cache(maxsize=1 << 13)
 def _x_expansion(p, i1, j1, i2):
     """x^i1 y^j1 x^i2 = sum((n0 + n1*alpha) x^i) y^j1 as the triples
     (i, n0, n1) with n0, n1 in F_p, not both zero, in increasing i."""

@@ -90,6 +90,10 @@ class RatFunc:
             return None
         return RatFunc(self.p, self.den, _canonical=True)
 
+    def _terms(self):
+        """The term map of a polynomial, None when there is a denominator."""
+        return self.num if polys.p_is_one(self.den) else None
+
     # arithmetic -----------------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, RatFunc):
@@ -239,6 +243,9 @@ def _bmin(x, y):
     return x if x <= y else y
 
 
+_second = operator.itemgetter(1)
+
+
 class LaurentScalar:
     """Element of F_p((a))((b)) known exactly below a certification window.
 
@@ -250,22 +257,24 @@ class LaurentScalar:
 
     __slots__ = ("p", "prec", "terms", "ha", "hb", "la", "lb")
 
-    def __init__(self, p, prec, terms, ha=INF, hb=INF, la=0, lb=0):
+    def __init__(self, p, prec, terms, ha=INF, hb=INF, la=0, lb=0, *, _reduced=False):
+        """``_reduced`` says every coefficient of ``terms`` is already in
+        1..p-1; an exact scalar then keeps the map itself."""
         self.p = p
         self.prec = prec
-        cleaned = {}
-        for (ea, eb), c in terms.items():
-            c %= p
-            if c and ea < ha and eb < hb:
-                cleaned[(ea, eb)] = c
-        self.terms = cleaned
         self.ha = ha
         self.hb = hb
         if ha == INF and hb == INF:
             # exact: the stored support is the true support
-            self.la = min((m[0] for m in cleaned), default=0)
-            self.lb = min((m[1] for m in cleaned), default=0)
+            if not _reduced:
+                terms = polys.p_reduce(terms, p)
+            self.terms = terms
+            self.la = min(terms)[0] if terms else 0
+            self.lb = min(map(_second, terms)) if terms else 0
         else:
+            self.terms = {
+                m: r for m, c in terms.items() if m[0] < ha and m[1] < hb and (r := c % p)
+            }
             self.la = la
             self.lb = lb
 
@@ -311,6 +320,10 @@ class LaurentScalar:
         """A series has no denominator to clear."""
         return None
 
+    def _terms(self):
+        """The term map of an exact value, None for a truncated one."""
+        return self.terms if self.ha == INF and self.hb == INF else None
+
     def _is_sum(self):
         return len(self.terms) > 1 or not self.exact
 
@@ -335,21 +348,15 @@ class LaurentScalar:
         if other is NotImplemented:
             return NotImplemented
         p = self.p
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = (terms.get(m, 0) + c) % p
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
         return LaurentScalar(
             p,
             self.prec,
-            terms,
+            polys.p_add(self.terms, other.terms, p),
             _bmin(self.ha, other.ha),
             _bmin(self.hb, other.hb),
             _bmin(self.la, other.la),
             _bmin(self.lb, other.lb),
+            _reduced=True,
         )
 
     __radd__ = __add__
@@ -392,17 +399,15 @@ class LaurentScalar:
             hb = _bmin(hb, self.hb + other.lb)
         if other.hb != INF:
             hb = _bmin(hb, other.hb + self.lb)
-        terms = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                m = (a1 + a2, b1 + b2)
-                s = (terms.get(m, 0) + c1 * c2) % p
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
         return LaurentScalar(
-            p, self.prec, terms, ha, hb, self.la + other.la, self.lb + other.lb
+            p,
+            self.prec,
+            polys.p_mul(self.terms, other.terms, p),
+            ha,
+            hb,
+            self.la + other.la,
+            self.lb + other.lb,
+            _reduced=True,
         )
 
     __rmul__ = __mul__
@@ -637,12 +642,16 @@ class FieldDescriptor:
             raise ValueError("precision must be positive")
 
     # scalar factories -------------------------------------------------------
-    def from_terms(self, terms):
+    def from_terms(self, terms, den=None):
         """The polynomial sum of c * a^i * b^j over a map (i, j) -> c with
-        every c in 1..p-1, as a scalar of this field."""
+        every c in 1..p-1, as a scalar of this field that takes the map
+        over; divided by the nonzero polynomial ``den``, a map of the same
+        kind, when one is given (rational fields only)."""
         if self.kind == "rational":
-            return RatFunc(self.prime, terms, _canonical=True)
-        return LaurentScalar(self.prime, self.precision, terms)
+            if den is None:
+                return RatFunc(self.prime, terms, _canonical=True)
+            return RatFunc(self.prime, terms, den)
+        return LaurentScalar(self.prime, self.precision, terms, _reduced=True)
 
     def zero(self):
         return self.from_terms({})
@@ -657,9 +666,15 @@ class FieldDescriptor:
         return self.from_terms(polys.p_gen(name))
 
     def owns(self, scalar):
+        """A scalar of this field: same kind and prime, and over a Laurent
+        field the same window, so that windows never mix."""
         if self.kind == "rational":
             return isinstance(scalar, RatFunc) and scalar.p == self.prime
-        return isinstance(scalar, LaurentScalar) and scalar.p == self.prime
+        return (
+            isinstance(scalar, LaurentScalar)
+            and scalar.p == self.prime
+            and scalar.prec == self.precision
+        )
 
     def __str__(self):
         if self.kind == "rational":

@@ -205,6 +205,21 @@ def p_mul(f, g, p):
     return out
 
 
+def p_mul_into(out, f, g):
+    """Add f*g into the map out with integer coefficients, not reduced."""
+    get = out.get
+    for (a1, b1), c1 in f.items():
+        for (a2, b2), c2 in g.items():
+            m = (a1 + a2, b1 + b2)
+            out[m] = get(m, 0) + c1 * c2
+    return out
+
+
+def p_reduce(f, p):
+    """f with every coefficient reduced mod p and the zeros dropped."""
+    return {m: r for m, c in f.items() if (r := c % p)}
+
+
 def p_scale(f, c, p):
     c %= p
     if not c:

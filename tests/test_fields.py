@@ -329,6 +329,9 @@ def test_descriptor_validation():
         FieldDescriptor("laurent", 3)
     desc = FieldDescriptor("laurent", 3, 6)
     assert desc.owns(desc.one()) and not desc.owns(RAT3.one())
+    # a Laurent field owns only scalars of its own window
+    assert not desc.owns(FieldDescriptor("laurent", 3, 8).one())
+    assert not desc.owns(FieldDescriptor("laurent", 5, 6).one())
 
 
 @given(st.integers(min_value=-20, max_value=20))

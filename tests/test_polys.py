@@ -50,6 +50,22 @@ def test_mul_matches_sympy(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
+def test_mul_into_then_reduce_is_a_sum_of_products(p):
+    # integer coefficients pile up unreduced; one reduction mod p gives the
+    # reduced sum, Laurent exponents included
+    rng = random.Random(1100 + p)
+    for _ in range(25):
+        f, g, h = (random_poly(rng, p) for _ in range(3))
+        k = {(ea - 2, eb - 1): c for (ea, eb), c in random_poly(rng, p).items()}
+        acc = polys.p_mul_into(polys.p_mul_into({}, f, g), h, k)
+        assert polys.p_reduce(acc, p) == polys.p_add(polys.p_mul(f, g, p), polys.p_mul(h, k, p), p)
+    assert polys.p_reduce({(0, 0): p, (1, 0): -1, (0, 1): 2 * p + 1}, p) == {
+        (1, 0): p - 1,
+        (0, 1): 1,
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_gcd_matches_sympy(p):
     rng = random.Random(2000 + p)
     checked = 0
