@@ -13,23 +13,25 @@ x-degrees of p and above through x^p = x + alpha, then y-degrees through
 y^p = beta.  One reduction step suffices, so every product of basis
 monomials is a sum of (n0 + n1*alpha) * beta^w x^i y^j with integer
 structure constants n0, n1 in F_p and w in {0, 1}.  The integer expansions
-depend only on p and are shared by every algebra; each algebra builds each
-constant once, as a numerator over the product of the slots'
-denominators.  Elements and handles are immutable.
+depend only on p and are shared by every algebra.  Elements and handles
+are immutable.
 
-Products run on numerators over one denominator: each operand is written
-as an element with polynomial coefficients over the lcm of its
-coefficients' denominators.  Those numerators, and exact Laurent
-coefficients, are polynomials, and a product works on their raw term
-maps: each term pair's product is formed once with unreduced integer
-coefficients and summed into a group per output monomial and whole
-constant, each group is multiplied by its constant once, and each output
-coefficient is reduced mod p once, divided once by the product of the
-operands' and the slots' denominators, and built once.  Canonical
-rational forms are unique, so the result is the same as reducing every
-scalar product and partial sum.  Inexact Laurent series, as coefficients
-or as slots, take the same grouping with one scalar product per term pair
-and per group, whose windows the scalars track.
+Exact scalars reach a product only as term-map fractions: a scalar's
+_fraction() is its numerator and denominator as term maps (the
+denominator None when there is none), and None for an inexact Laurent
+series.  A product of exact data does no scalar arithmetic.  Each
+operand's numerators are brought over the lcm of its denominators, and
+each constant is a numerator over den(alpha) * den(beta), built once per
+algebra from the slots' maps.  Each term pair's product is formed once
+with unreduced integer coefficients and summed into a group per output
+monomial and whole constant, each group is multiplied by its constant
+once, and each output coefficient is reduced mod p once, divided once by
+the product of the operands' and the slots' denominators, and built once.
+Canonical rational forms are unique, so the result is the same as
+reducing every scalar product and partial sum.  An inexact series, as a
+coefficient or as a slot, keeps the same grouping with one scalar product
+per term pair and per group, whose windows the scalars track; that loop
+is the only place a product does scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .errors import (
     WitnessVerificationFailed,
     ZeroElement,
 )
+from .fields import _cancel
 
 _COMB = math.comb
 
@@ -57,7 +60,7 @@ _COMB = math.comb
 class SymbolAlgebra:
     """Handle for the algebra with left slot alpha and right slot beta."""
 
-    __slots__ = ("p", "alpha", "beta", "field", "_zero", "_one", "_cache", "_den", "_poly_slots")
+    __slots__ = ("p", "alpha", "beta", "field", "_zero", "_one", "_fractions", "_cache", "_scalars")
 
     def __init__(self, p, alpha, beta, field):
         if not polys.is_prime(p):
@@ -74,14 +77,12 @@ class SymbolAlgebra:
         self.field = field
         self._zero = field.zero()
         self._one = field.one()
-        self._cache = {}
-        da, db = alpha._denominator(), beta._denominator()
-        self._den = da if db is None else db if da is None else da * db
-        # products run on term maps only when both slots are quotients of
+        # products run on term maps only when both slots are fractions of
         # polynomials; an inexact series slot keeps the scalar path
-        self._poly_slots = all(
-            c._terms() is not None or c._denominator() is not None for c in (alpha, beta)
-        )
+        fa, fb = alpha._fraction(), beta._fraction()
+        self._fractions = None if fa is None or fb is None else (fa, fb)
+        self._cache = {}
+        self._scalars = {}
 
     # identity of handles is by value so rebuilt algebras interoperate
     def __eq__(self, other):
@@ -150,88 +151,54 @@ class SymbolAlgebra:
 
     # normal-form multiplication ----------------------------------------------
     def _constant(self, n0, n1, wrap):
-        """(k, its term map) for the numerator k of (n0 + n1*alpha) * beta^wrap
-        over self._den, the product of the slots' denominators (None when
-        neither has one); built once per algebra.  The term map is None when
-        k is an inexact series; an exact zero k is self._zero and an exact
-        one is self._one."""
+        """The numerator of (n0 + n1*alpha) * beta^wrap over da * db, for
+        slots alpha = na / da and beta = nb / db: the term map
+        (n0*da + n1*na) * (nb if wrap else db), an absent denominator being
+        1; built once per algebra."""
         key = (n0, n1, wrap)
         k = self._cache.get(key)
         if k is None:
-            from_int = self.field.from_int
-            alpha, beta = self.alpha, self.beta
-            da, db = alpha._denominator(), beta._denominator()
-            # alpha = (alpha * da) / da, and beta^wrap * db is beta * db or db
-            if da is None:
-                c = from_int(n0) + from_int(n1) * alpha
-            else:
-                c = from_int(n0) * da + from_int(n1) * (alpha * da)
-            if wrap:
-                c = c * (beta if db is None else beta * db)
-            elif db is not None:
-                c = c * db
-            if c._surely_zero():
-                c = self._zero
-            elif c == self._one:
-                c = self._one
-            k = self._cache[key] = (c, c._terms())
+            p = self.p
+            (na, da), (nb, db) = self._fractions
+            k = polys.p_add(polys.p_scale(da or polys.P_ONE, n0, p), polys.p_scale(na, n1, p), p)
+            k = self._cache[key] = polys.p_mul(k, (nb if wrap else db) or polys.P_ONE, p)
         return k
 
-    def _over_common_denominator(self, t):
-        """(numerators, d) with t = numerators / d: every numerator is a
-        polynomial and d is the lcm of the coefficients' denominators.
-        (t.entries, None) when no coefficient has a denominator."""
-        entries = t.entries
-        for c in entries.values():
-            if c._denominator() is not None:
-                break
-        else:
-            return entries, None
-        dens = {ij: c._denominator() for ij, c in entries.items()}
-        common = self._one
-        cofactor = {}  # each distinct denominator e -> common / e
-        for e in dens.values():
-            if e is None or e in cofactor:
-                continue
-            # e / common = (e / g) / (common / g) for g = gcd(e, common): the
-            # lcm grows by e / g and the cofactor of e is common / g
-            q = e / common
-            rest = q._denominator()
-            grow = q if rest is None else q * rest
-            common = common * grow
-            for f in cofactor:
-                cofactor[f] = cofactor[f] * grow
-            cofactor[e] = self._one if rest is None else rest
-        numerators = {}
-        for ij, c in entries.items():
-            e = dens[ij]
-            # c * e cancels c's own denominator, which takes no gcd
-            numerators[ij] = c * common if e is None else c * e * cofactor[e]
-        return numerators, common
+    def _scalar_constant(self, n0, n1, wrap):
+        """(n0 + n1*alpha) * beta^wrap as a scalar, for the series path,
+        where no slot has a denominator; built once per algebra."""
+        key = (n0, n1, wrap)
+        k = self._scalars.get(key)
+        if k is None:
+            from_int = self.field.from_int
+            k = from_int(n0) + from_int(n1) * self.alpha
+            if wrap:
+                k = k * self.beta
+            self._scalars[key] = k
+        return k
 
     def mul(self, s, t):
         self._check(s)
         self._check(t)
-        if self._poly_slots:
+        if self._fractions is not None:
             # multiply numerators, which needs no gcd, then divide each
             # output coefficient once by the product of the operands' and
             # the slots' denominators, over which the constants are written
-            s_num, s_den = self._over_common_denominator(s)
-            t_num, t_den = self._over_common_denominator(t)
-            s_terms = {ij: c._terms() for ij, c in s_num.items()}
-            t_terms = {ij: c._terms() for ij, c in t_num.items()}
-            if None not in s_terms.values() and None not in t_terms.values():
-                return self._mul_terms(s_terms, t_terms, (s_den, t_den, self._den))
+            s_frac = _over_common_denominator(s.entries, self.p)
+            t_frac = s_frac and _over_common_denominator(t.entries, self.p)
+            if t_frac:
+                return self._mul_terms(s_frac, t_frac)
         # inexact series, as coefficients or slots, have no denominators
+        one = self._one
         acc = {}
         for (i, j, n0, n1, wrap), cs in self._groups(s.entries, t.entries, operator.mul).items():
-            k = self._constant(n0, n1, wrap)[0]
-            if k is not self._zero:
+            k = self._scalar_constant(n0, n1, wrap)
+            if not k._surely_zero():
                 # a sum starts from its first term, not from an exact zero: a
                 # Laurent term keeps its own lower bounds la/lb, which are
                 # tighter than min(0, .) and still sound
                 c = functools.reduce(operator.add, cs)
-                term = c if k is self._one else c * k
+                term = c if k == one else c * k
                 ij = (i, j)
                 acc[ij] = acc[ij] + term if ij in acc else term
         return self._grid(acc)
@@ -258,15 +225,16 @@ class SymbolAlgebra:
                         groups[key] = [c12]
         return groups
 
-    def _mul_terms(self, s_terms, t_terms, dens):
-        """The product of two elements given as maps (i, j) -> term map of a
-        polynomial numerator, over the product of the denominators in dens
-        (None for an absent one).  Each group's sum and its product with
-        the constant keep unreduced integer coefficients; each output
-        coefficient is reduced mod p once and built once."""
+    def _mul_terms(self, s_frac, t_frac):
+        """The product of two elements given as (numerators, d) from
+        _over_common_denominator.  Each group's sum and its product with the
+        constant keep unreduced integer coefficients; each output
+        coefficient is reduced mod p once, divided once by the product of
+        the operands' and the slots' denominators, and built once."""
+        (s_num, s_den), (t_num, t_den) = s_frac, t_frac
         acc = {}
-        for (i, j, n0, n1, wrap), fs in self._groups(s_terms, t_terms, _raw_mul).items():
-            k = self._constant(n0, n1, wrap)[1]
+        for (i, j, n0, n1, wrap), fs in self._groups(s_num, t_num, _raw_mul).items():
+            k = self._constant(n0, n1, wrap)
             if k:
                 g = fs[0]
                 if len(fs) > 1:
@@ -275,12 +243,12 @@ class SymbolAlgebra:
                         for m, c in f.items():
                             g[m] = g.get(m, 0) + c
                 polys.p_mul_into(acc.setdefault((i, j), {}), g, k)
-        den = None
-        for d in dens:
-            if d is not None:
-                den = d if den is None else den * d
-        den = None if den is None else den._terms()
         p = self.p
+        (_, da), (_, db) = self._fractions
+        den = None
+        for d in (s_den, t_den, da, db):
+            if d is not None:
+                den = d if den is None else polys.p_mul(den, d, p)
         from_terms = self.field.from_terms
         entries = {}
         for ij, c in acc.items():
@@ -631,6 +599,40 @@ class AdComponents:
 
     def __len__(self):
         return len(self.parts)
+
+
+def _over_common_denominator(entries, p):
+    """(numerators, d) with each coefficient of entries the term map
+    numerators[ij] over the term map d, the lcm of the coefficients'
+    denominators (None when none has one); None when some coefficient is a
+    series.  The lcm takes one gcd per further distinct denominator."""
+    numerators, dens = {}, {}
+    for ij, c in entries.items():
+        f = c._fraction()
+        if f is None:
+            return None
+        numerators[ij], d = f
+        if d is not None:
+            dens[ij] = frozenset(d.items()), d
+    if not dens:
+        return numerators, None
+    common = polys.P_ONE
+    cofactors = {}  # each distinct denominator, keyed by its terms -> common / it
+    for key, e in dens.values():
+        if key not in cofactors:
+            # e / common = grow / rest in lowest terms, one gcd: the lcm grows
+            # by grow and the cofactor of e is rest
+            grow, rest = _cancel(e, common, p)
+            if not polys.p_is_one(grow):
+                common = polys.p_mul(common, grow, p)
+                for f, cof in cofactors.items():
+                    cofactors[f] = polys.p_mul(cof, grow, p)
+            cofactors[key] = rest
+    out = {}
+    for ij, num in numerators.items():
+        f = cofactors[dens[ij][0]] if ij in dens else common
+        out[ij] = num if polys.p_is_one(f) else polys.p_mul(num, f, p)
+    return out, common
 
 
 def _raw_mul(f, g):

@@ -84,15 +84,10 @@ class RatFunc:
     def _is_sum(self):
         return self.is_poly() and len(self.num) > 1
 
-    def _denominator(self):
-        """The denominator as a polynomial scalar, None for a polynomial."""
-        if polys.p_is_one(self.den):
-            return None
-        return RatFunc(self.p, self.den, _canonical=True)
-
-    def _terms(self):
-        """The term map of a polynomial, None when there is a denominator."""
-        return self.num if polys.p_is_one(self.den) else None
+    def _fraction(self):
+        """(num, den) as term maps, den None for a polynomial; callers read
+        the maps and never mutate them."""
+        return self.num, None if polys.p_is_one(self.den) else self.den
 
     # arithmetic -----------------------------------------------------------
     def _coerce(self, other):
@@ -316,13 +311,10 @@ class LaurentScalar:
         """Zero as far as the window certifies: no stored terms."""
         return not self.terms
 
-    def _denominator(self):
-        """A series has no denominator to clear."""
-        return None
-
-    def _terms(self):
-        """The term map of an exact value, None for a truncated one."""
-        return self.terms if self.ha == INF and self.hb == INF else None
+    def _fraction(self):
+        """(terms, None) for an exact value, a Laurent polynomial with no
+        denominator; None for a truncated series."""
+        return (self.terms, None) if self.ha == INF and self.hb == INF else None
 
     def _is_sum(self):
         return len(self.terms) > 1 or not self.exact
@@ -411,18 +403,6 @@ class LaurentScalar:
         )
 
     __rmul__ = __mul__
-
-    def truncated(self, ta, tb):
-        """Shrink the certification window to (ta, tb) at most."""
-        return LaurentScalar(
-            self.p,
-            self.prec,
-            self.terms,
-            _bmin(self.ha, ta),
-            _bmin(self.hb, tb),
-            self.la,
-            self.lb,
-        )
 
     def inverse(self):
         p, prec = self.p, self.prec

@@ -132,14 +132,22 @@ def verify_presentation(A: SymbolAlgebra, z: AlgElement, w: AlgElement) -> Linka
     return LinkageWitness(z=z, w=w, claimed_left=left, claimed_right=right, wz=wz, z1w=z1w)
 
 
+def _verify_slots(A, z, w, left, right, message):
+    """verify_presentation(A, z, w), whose certified slots must be the
+    closed forms left and right; WitnessVerificationFailed(message) if not."""
+    witness = verify_presentation(A, z, w)
+    if not (certified_equal(witness.claimed_left, left)
+            and certified_equal(witness.claimed_right, right)):
+        raise WitnessVerificationFailed(message)
+    return witness
+
+
 def chain_identity(pres: SymbolPresentation):
     """The presentation [left + right, right) of the same algebra, with the
     witness pair (x + y, y)."""
     A = pres.to_algebra()
-    witness = verify_presentation(A, A.x() + A.y(), A.y())
-    if not (certified_equal(witness.claimed_left, pres.left + pres.right)
-            and certified_equal(witness.claimed_right, pres.right)):
-        raise WitnessVerificationFailed("chain identity produced unexpected slots")
+    witness = _verify_slots(A, A.x() + A.y(), A.y(), pres.left + pres.right, pres.right,
+                            "chain identity produced unexpected slots")
     new_pres = SymbolPresentation(witness.claimed_left, witness.claimed_right, pres.p, pres.field)
     return new_pres, witness
 
@@ -153,10 +161,8 @@ def scale_slot_by_norm(pres: SymbolPresentation, u: AlgElement):
     """
     A = pres.to_algebra()
     norm = A.norm_Fx(u)
-    witness = verify_presentation(A, A.x(), A.mul(u, A.y()))
-    if not (certified_equal(witness.claimed_left, pres.left)
-            and certified_equal(witness.claimed_right, norm * pres.right)):
-        raise WitnessVerificationFailed("norm scaling produced unexpected slots")
+    witness = _verify_slots(A, A.x(), A.mul(u, A.y()), pres.left, norm * pres.right,
+                            "norm scaling produced unexpected slots")
     new_pres = SymbolPresentation(pres.left, witness.claimed_right, pres.p, pres.field)
     return new_pres, witness, norm
 
@@ -226,17 +232,13 @@ def right_to_left(alpha, gamma, beta, p, field: FieldDescriptor) -> LeftLinkResu
     A = make_algebra(p, alpha, beta, field)
     w = A.mul(A.scalar(lam) + A.x(), A.y())
     z = A.x() + w
-    witness_A = verify_presentation(A, z, w)
-    if not (certified_equal(witness_A.claimed_left, common_left)
-            and certified_equal(witness_A.claimed_right, norm_slot)):
-        raise WitnessVerificationFailed("witness slots in A disagree with the closed form")
+    witness_A = _verify_slots(A, z, w, common_left, norm_slot,
+                              "witness slots in A disagree with the closed form")
 
     Aprime = make_algebra(p, gamma, beta, field)
     zp = Aprime.x() + lam * Aprime.y()
-    witness_Aprime = verify_presentation(Aprime, zp, Aprime.y())
-    if not (certified_equal(witness_Aprime.claimed_left, common_left)
-            and certified_equal(witness_Aprime.claimed_right, beta)):
-        raise WitnessVerificationFailed("witness slots in A' disagree with the closed form")
+    witness_Aprime = _verify_slots(Aprime, zp, Aprime.y(), common_left, beta,
+                                   "witness slots in A' disagree with the closed form")
 
     if not certified_equal(alpha + norm_slot, common_left):
         raise WitnessVerificationFailed("slot bookkeeping identity failed")

@@ -334,6 +334,19 @@ def test_descriptor_validation():
     assert not desc.owns(FieldDescriptor("laurent", 5, 6).one())
 
 
+def test_fraction_gives_term_maps_or_none_for_a_series():
+    # the one way exact scalars reach the product engine: numerator and
+    # denominator term maps, the denominator None when there is none
+    a, b = RAT5.gen("a"), RAT5.gen("b")
+    assert (a * b + 2)._fraction() == ({(1, 1): 1, (0, 0): 2}, None)
+    assert ((a + 1) / (3 * b))._fraction() == ({(1, 0): 2, (0, 0): 2}, {(0, 1): 1})
+    lau = LAU[5]
+    exact = parse_scalar("(a^2 + 3*b)/(a*b^2)", lau)
+    assert exact._fraction() == ({(1, -2): 1, (-1, -1): 3}, None)
+    series = lau.one() / (lau.one() + lau.gen("a") + lau.gen("b"))
+    assert not series.exact and series._fraction() is None
+
+
 @given(st.integers(min_value=-20, max_value=20))
 def test_from_int_reduces_mod_p(n):
     assert RAT5.from_int(n) == RAT5.from_int(n % 5)
