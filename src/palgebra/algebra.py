@@ -409,11 +409,10 @@ class SymbolAlgebra:
             return u
         entries = {}
         for (e, _), c in u.support():
-            for m in range(e + 1):
-                const = (_COMB(e, m) * pow(k, e - m, p)) % p
-                if const:
-                    cur = entries.get((m, 0), self._zero)
-                    entries[(m, 0)] = cur + self.field.from_int(const) * c
+            # y^k x^e = (x + k)^e y^k; e < p, so no x^p wraps to alpha
+            for m, const, _ in _x_expansion(p, 0, k, e):
+                cur = entries.get((m, 0), self._zero)
+                entries[(m, 0)] = cur + self.field.from_int(const) * c
         return self._grid(entries)
 
     def norm_Fx(self, u):

@@ -13,13 +13,15 @@ two sides print differently.  The counterexample counts compare integers.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
 input error: malformed syntax, a -p that is not prime, a zero right slot,
-or a division by zero or by a zero divisor inside an input expression.
+a division by zero or by a zero divisor inside an input expression, or a
+scale --u that is zero or involves y.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -73,12 +75,17 @@ class Report:
     checks: list = dc_field(default_factory=list)
 
     def check(self, relation, ok, expected="pass", computed=None, brief=False):
-        """One check line with the verdict ``ok`` its caller reached; a brief
-        line shows only the status in text.  Without sides, JSON shows
-        "pass" against "pass" or "fail"."""
+        """One check line with a verdict ``ok`` reached elsewhere, such as a
+        count; a brief line shows only the status in text.  Without sides,
+        JSON shows "pass" against "pass" or "fail"."""
         if computed is None:
             computed = "pass" if ok else "fail"
         self.checks.append(CheckLine(relation, str(expected), str(computed), ok, brief))
+
+    def compare(self, relation, expected, computed, brief=False):
+        """One check line whose verdict is that its two sides agree on
+        certified terms."""
+        self.check(relation, certified_equal(expected, computed), expected, computed, brief)
 
     @property
     def ok(self):
@@ -119,6 +126,8 @@ class Report:
         return json.dumps(payload, indent=2)
 
 
+# built once, by the first main call: importing this module builds nothing
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="palgebra",
@@ -126,7 +135,8 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(sp, slots=("alpha", "beta"), element_opts=()):
+    def common(sp, handler, slots=("alpha", "beta"), element_opts=()):
+        sp.set_defaults(run=handler)
         sp.add_argument("-p", type=int, required=True, metavar="PRIME", help="the prime degree")
         for slot in slots:
             sp.add_argument(f"--{slot}", required=True, metavar="EXPR", help=f"{slot} slot expression")
@@ -138,23 +148,25 @@ def _build_parser():
                         help="bind a scalar name usable in expressions")
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
 
-    common(sub.add_parser("link", help="common left slot for a right-linked pair"),
+    common(sub.add_parser("link", help="common left slot for a right-linked pair"), _cmd_link,
            slots=("alpha", "gamma", "beta"))
     common(sub.add_parser("verify-lemma", help="check (x+y)^p-(x+y) = x^p-x+y^p for a commutation pair"),
-           element_opts=("x", "t"))
+           _cmd_verify_lemma, element_opts=("x", "t"))
     common(sub.add_parser("decompose", help="eigendecomposition under v -> v*x - x*v"),
-           element_opts=("t",))
-    common(sub.add_parser("identity", help="the presentation [alpha+beta, beta) of the same algebra"))
+           _cmd_decompose, element_opts=("t",))
+    common(sub.add_parser("identity", help="the presentation [alpha+beta, beta) of the same algebra"),
+           _cmd_identity)
     common(sub.add_parser("scale", help="rescale the right slot by a norm from F[x]"),
-           element_opts=("u",))
+           _cmd_scale, element_opts=("u",))
     cx = sub.add_parser("counterexample", help="left-linked but not right-linked family check")
+    cx.set_defaults(run=_cmd_counterexample)
     cx.add_argument("-p", type=int, required=True, metavar="PRIME")
     cx.add_argument("--precision", type=int, default=8)
     cx.add_argument("--samples", type=int, default=20)
     cx.add_argument("--seed", type=int, default=0)
     cx.add_argument("--json", action="store_true")
     common(sub.add_parser("eval", help="normal form of an element expression"),
-           element_opts=("expr",))
+           _cmd_eval, element_opts=("expr",))
     return parser
 
 
@@ -214,15 +226,12 @@ def _cmd_link(args):
     report.results.update(res.to_dict())
     left, right, summed = res.common_left, res.pres_A.right, alpha + res.pres_A.right
     wit, wit2 = res.witness_A, res.witness_Aprime
-    report.check("z^p - z in A", certified_equal(left, wit.claimed_left), left, wit.claimed_left)
-    report.check("w^p in A", certified_equal(right, wit.claimed_right), right, wit.claimed_right)
-    report.check("w z w^-1 = z + 1 in A", certified_equal(wit.z1w, wit.wz), wit.z1w, wit.wz,
-                 brief=True)
-    report.check("z'^p - z' in A'", certified_equal(left, wit2.claimed_left), left, wit2.claimed_left)
-    report.check("y' z' y'^-1 = z' + 1 in A'", certified_equal(wit2.z1w, wit2.wz), wit2.z1w, wit2.wz,
-                 brief=True)
-    report.check("alpha + (alpha + lambda^p - lambda) beta = gamma + lambda^p beta",
-                 certified_equal(left, summed), left, summed)
+    report.compare("z^p - z in A", left, wit.claimed_left)
+    report.compare("w^p in A", right, wit.claimed_right)
+    report.compare("w z w^-1 = z + 1 in A", wit.z1w, wit.wz, brief=True)
+    report.compare("z'^p - z' in A'", left, wit2.claimed_left)
+    report.compare("y' z' y'^-1 = z' + 1 in A'", wit2.z1w, wit2.wz, brief=True)
+    report.compare("alpha + (alpha + lambda^p - lambda) beta = gamma + lambda^p beta", left, summed)
     return report
 
 
@@ -235,7 +244,7 @@ def _cmd_verify_lemma(args):
     lem = verify_lemma(A, x_el, t_el)
     report.results["k"] = lem.k
     report.results["m"] = lem.m
-    report.check("(x+t)^p - (x+t) = (x^p - x) + t^p", lem.sides_agree, lem.rhs, lem.lhs)
+    report.compare("(x+t)^p - (x+t) = (x^p - x) + t^p", lem.rhs, lem.lhs)
     report.check("t^m (x+t) t^-m = x + t + 1", lem.shift_conjugation_ok, brief=True)
     return report
 
@@ -249,10 +258,10 @@ def _cmd_decompose(args):
     for i, part in enumerate(comps):
         report.results[f"t_{i}"] = str(part)
     total = comps.total()
-    report.check("sum of components", certified_equal(t, total), t, total)
+    report.compare("sum of components", t, total)
     for i, part in enumerate(comps):
         eigen, lhs = A.scale(i, part), A.commutator(part, A.x())
-        report.check(f"t_{i} x - x t_{i} = {i} t_{i}", certified_equal(eigen, lhs), eigen, lhs)
+        report.compare(f"t_{i} x - x t_{i} = {i} t_{i}", eigen, lhs)
     return report
 
 
@@ -263,9 +272,9 @@ def _cmd_identity(args):
     report.results["presentation"] = str(new_pres)
     report.results["witness"] = wit.to_dict()
     left = alpha + beta
-    report.check("z^p - z", certified_equal(left, wit.claimed_left), left, wit.claimed_left)
-    report.check("w^p", certified_equal(beta, wit.claimed_right), beta, wit.claimed_right)
-    report.check("w z w^-1 = z + 1", certified_equal(wit.z1w, wit.wz), wit.z1w, wit.wz, brief=True)
+    report.compare("z^p - z", left, wit.claimed_left)
+    report.compare("w^p", beta, wit.claimed_right)
+    report.compare("w z w^-1 = z + 1", wit.z1w, wit.wz, brief=True)
     return report
 
 
@@ -273,16 +282,16 @@ def _cmd_scale(args):
     fieldd, env, (alpha, beta), report = _parse_inputs(args)
     pres = SymbolPresentation(alpha, beta, args.p, fieldd)
     u = _element(args.u, pres.to_algebra(), env)
+    if u.is_zero() or any(j for (_, j), _ in u.support()):
+        raise ValueError(f"--u must be a nonzero element of F[x], got {u}")
     report.inputs["u"] = str(u)
     new_pres, wit, norm = scale_slot_by_norm(pres, u)
     report.results["norm"] = str(norm)
     report.results["presentation"] = str(new_pres)
     report.results["witness"] = wit.to_dict()
     right = norm * beta
-    report.check("(u y)^p = N(u) beta", certified_equal(right, wit.claimed_right), right,
-                 wit.claimed_right)
-    report.check("(u y) x (u y)^-1 = x + 1", certified_equal(wit.z1w, wit.wz), wit.z1w, wit.wz,
-                 brief=True)
+    report.compare("(u y)^p = N(u) beta", right, wit.claimed_right)
+    report.compare("(u y) x (u y)^-1 = x + 1", wit.z1w, wit.wz, brief=True)
     return report
 
 
@@ -306,10 +315,8 @@ def _cmd_counterexample(args):
         report.check(relation, got == want, f"{want} pass", f"{got} pass")
     report.check("subfield value groups distinct across the two algebras",
                  rep.lattices_always_distinct, brief=True)
-    for note in rep.verified_facts:
-        report.results.setdefault("verified", []).append(note)
-    for note in rep.background_facts:
-        report.results.setdefault("background", []).append(note)
+    report.results["verified"] = list(rep.verified_facts)
+    report.results["background"] = list(rep.background_facts)
     return report
 
 
@@ -322,25 +329,13 @@ def _cmd_eval(args):
     return report
 
 
-_HANDLERS = {
-    "link": _cmd_link,
-    "verify-lemma": _cmd_verify_lemma,
-    "decompose": _cmd_decompose,
-    "identity": _cmd_identity,
-    "scale": _cmd_scale,
-    "counterexample": _cmd_counterexample,
-    "eval": _cmd_eval,
-}
-
-
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_EXIT
     try:
-        report = _HANDLERS[args.verb](args)
+        report = args.run(args)
     except ExprSyntaxError as exc:
         print(f"palgebra: syntax error: {exc}", file=sys.stderr)
         return USAGE_EXIT

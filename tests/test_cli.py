@@ -1,5 +1,6 @@
 """CLI behavior: verbs, exit codes, JSON output, golden transcripts."""
 
+import argparse
 import json
 import random
 import string
@@ -17,7 +18,6 @@ from palgebra import (
     scale_slot_by_norm,
 )
 from palgebra.cli import Report, main
-from palgebra.fields import certified_equal
 
 from support import SRC
 
@@ -153,7 +153,7 @@ def test_laurent_conjugation_check_is_certified_not_textual(capsys):
     relation = "(u y) x (u y)^-1 = x + 1"
     for extra in (remainder, field.one()):
         z1w = witness.z1w + extra * A.x()
-        report.check(relation, certified_equal(z1w, witness.wz), z1w, witness.wz, brief=True)
+        report.compare(relation, z1w, witness.wz, brief=True)
     uncertified, certified = report.checks
     assert "O(a^5)" in uncertified.expected and uncertified.expected != uncertified.computed
     assert uncertified.ok
@@ -238,6 +238,37 @@ def test_zero_divisor_generator_exits_1(capsys):
     code, _, err = run(capsys, "scale", "-p", "2", "--alpha", "0", "--beta", "b", "--u", "x")
     assert code == 1
     assert err == "palgebra: NotInvertible: element is a zero divisor\n"
+
+
+@pytest.mark.parametrize("u", ["y", "x*y", "0", "x-x"])
+def test_scale_u_outside_fx_or_zero_exit_2(capsys, u):
+    # N(u) is defined only for a nonzero u in F[x]: any other u is bad input
+    code, out, err = run(capsys, "scale", "-p", "3", "--alpha", "a", "--beta", "b", "--u", u)
+    assert (code, out) == (2, "")
+    assert err.startswith("palgebra: invalid input: --u must be a nonzero element of F[x]")
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(parser, *args, **kwargs):
+        built.append(1)
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    counts = []
+    for argv in (["identity", "-p", "3", "--alpha", "a", "--beta", "b"],
+                 ["eval", "-p", "3", "--alpha", "a", "--beta", "b", "--let", "q=a+1",
+                  "--expr", "q*x"],
+                 ["scale", "-p", "2", "--alpha", "a", "--beta", "b", "--u", "x"]):
+        assert run(capsys, *argv)[0] == 0
+        counts.append(len(built))
+    assert counts == [counts[0]] * 3
+    # the cached parser must not carry one call's --let bindings into the next
+    code, _, err = run(capsys, "eval", "-p", "3", "--alpha", "a", "--beta", "b", "--expr", "q*x")
+    assert code == 2
+    assert "unknown name 'q'" in err
 
 
 def test_json_key_order_stable(capsys):
