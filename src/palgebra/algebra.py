@@ -20,18 +20,21 @@ Exact scalars reach a product only as term-map fractions: a scalar's
 _fraction() is its numerator and denominator as term maps (the
 denominator None when there is none), and None for an inexact Laurent
 series.  A product of exact data does no scalar arithmetic.  Each
-operand's numerators are brought over the lcm of its denominators, and
-each constant is a numerator over den(alpha) * den(beta), built once per
-algebra from the slots' maps.  Each term pair's product is formed once
-with unreduced integer coefficients and summed into a group per output
-monomial and whole constant, each group is multiplied by its constant
-once, and each output coefficient is reduced mod p once, divided once by
-the product of the operands' and the slots' denominators, and built once.
-Canonical rational forms are unique, so the result is the same as
-reducing every scalar product and partial sum.  An inexact series, as a
-coefficient or as a slot, keeps the same grouping with one scalar product
-per term pair and per group, whose windows the scalars track; that loop
-is the only place a product does scalar arithmetic.
+operand's numerators are brought over the lcm of its denominators.  Over
+den(alpha) * den(beta), a constant is n0 times one slot factor plus n1
+times another, four factors built once per algebra from the slots' maps.
+Each term pair's product is formed once with unreduced integer
+coefficients and summed, times n0 and times n1, per output monomial and
+wrap; each output sum is multiplied once by its slot factor, at most four
+per output monomial, and each output coefficient is reduced mod p once,
+divided once by the product of the operands' and the slots' denominators,
+and built once.  Canonical rational forms are unique, so the result is
+the same as reducing every scalar product and partial sum.  An inexact
+series, as a coefficient or as a slot, groups its term pairs per output
+monomial and whole constant, with one scalar product per term pair and
+per group, whose windows the scalars track; that loop is the only place
+a product does scalar arithmetic, and the only place whole constants are
+built.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ _COMB = math.comb
 class SymbolAlgebra:
     """Handle for the algebra with left slot alpha and right slot beta."""
 
-    __slots__ = ("p", "alpha", "beta", "field", "_zero", "_one", "_fractions", "_cache", "_scalars")
+    __slots__ = ("p", "alpha", "beta", "field", "_zero", "_one", "_fractions", "_factors", "_scalars")
 
     def __init__(self, p, alpha, beta, field):
         if not polys.is_prime(p):
@@ -80,8 +83,16 @@ class SymbolAlgebra:
         # products run on term maps only when both slots are fractions of
         # polynomials; an inexact series slot keeps the scalar path
         fa, fb = alpha._fraction(), beta._fraction()
-        self._fractions = None if fa is None or fb is None else (fa, fb)
-        self._cache = {}
+        self._fractions = self._factors = None
+        if fa is not None and fb is not None:
+            self._fractions = fa, fb
+            # (n0 + n1*alpha) * beta^wrap over da * db, for slots alpha = na / da
+            # and beta = nb / db, is n0 * factors[wrap][0] + n1 * factors[wrap][1]
+            # with the factors da * b and na * b, b = nb if wrap else db; an
+            # absent denominator is 1, and na is {} when alpha is zero
+            (na, da), (nb, db) = fa, fb
+            da, db = da or polys.P_ONE, db or polys.P_ONE
+            self._factors = tuple((polys.p_mul(da, b, p), polys.p_mul(na, b, p)) for b in (db, nb))
         self._scalars = {}
 
     # identity of handles is by value so rebuilt algebras interoperate
@@ -150,20 +161,6 @@ class SymbolAlgebra:
             raise ValueError("element belongs to a different algebra")
 
     # normal-form multiplication ----------------------------------------------
-    def _constant(self, n0, n1, wrap):
-        """The numerator of (n0 + n1*alpha) * beta^wrap over da * db, for
-        slots alpha = na / da and beta = nb / db: the term map
-        (n0*da + n1*na) * (nb if wrap else db), an absent denominator being
-        1; built once per algebra."""
-        key = (n0, n1, wrap)
-        k = self._cache.get(key)
-        if k is None:
-            p = self.p
-            (na, da), (nb, db) = self._fractions
-            k = polys.p_add(polys.p_scale(da or polys.P_ONE, n0, p), polys.p_scale(na, n1, p), p)
-            k = self._cache[key] = polys.p_mul(k, (nb if wrap else db) or polys.P_ONE, p)
-        return k
-
     def _scalar_constant(self, n0, n1, wrap):
         """(n0 + n1*alpha) * beta^wrap as a scalar, for the series path,
         where no slot has a denominator; built once per algebra."""
@@ -183,15 +180,22 @@ class SymbolAlgebra:
         if self._fractions is not None:
             # multiply numerators, which needs no gcd, then divide each
             # output coefficient once by the product of the operands' and
-            # the slots' denominators, over which the constants are written
+            # the slots' denominators, over which the slot factors are written
             s_frac = _over_common_denominator(s.entries, self.p)
             t_frac = s_frac and _over_common_denominator(t.entries, self.p)
             if t_frac:
                 return self._mul_terms(s_frac, t_frac)
-        # inexact series, as coefficients or slots, have no denominators
+        # inexact series, as coefficients or slots, have no denominators;
+        # window bookkeeping distributes over a Laurent constant only when it
+        # is not split into its n0 and alpha parts, so each group of term
+        # pairs keeps its whole constant
+        groups = {}
+        for c12, j, wrap, expansion in self._pairs(s.entries, t.entries, operator.mul):
+            for i, n0, n1 in expansion:
+                groups.setdefault((i, j, n0, n1, wrap), []).append(c12)
         one = self._one
         acc = {}
-        for (i, j, n0, n1, wrap), cs in self._groups(s.entries, t.entries, operator.mul).items():
+        for (i, j, n0, n1, wrap), cs in groups.items():
             k = self._scalar_constant(n0, n1, wrap)
             if not k._surely_zero():
                 # a sum starts from its first term, not from an exact zero: a
@@ -203,46 +207,49 @@ class SymbolAlgebra:
                 acc[ij] = acc[ij] + term if ij in acc else term
         return self._grid(acc)
 
-    def _groups(self, s_entries, t_entries, mul):
-        """Each term pair's product mul(c1, c2), formed once and listed per
-        output monomial and whole constant, as a map (i, j, n0, n1, wrap) ->
-        products.  Window bookkeeping distributes over a Laurent constant
-        only when it is not split into its n0 and alpha parts."""
+    def _pairs(self, s_entries, t_entries, mul):
+        """(mul(c1, c2), j, wrap, expansion) for each term pair, its product
+        formed once: x^i1 y^j1 * x^i2 y^j2 is the sum of (n0 + n1*alpha) *
+        beta^wrap x^i y^j over the expansion's triples (i, n0, n1)."""
         p = self.p
-        groups = {}
         for (i1, j1), c1 in s_entries.items():
             for (i2, j2), c2 in t_entries.items():
-                c12 = mul(c1, c2)
                 j = j1 + j2
                 wrap = j >= p
-                if wrap:
-                    j -= p
-                for i, n0, n1 in _x_expansion(p, i1, j1, i2):
-                    key = (i, j, n0, n1, wrap)
-                    if key in groups:
-                        groups[key].append(c12)
-                    else:
-                        groups[key] = [c12]
-        return groups
+                yield mul(c1, c2), j - p if wrap else j, wrap, _x_expansion(p, i1, j1, i2)
 
     def _mul_terms(self, s_frac, t_frac):
         """The product of two elements given as (numerators, d) from
-        _over_common_denominator.  Each group's sum and its product with the
-        constant keep unreduced integer coefficients; each output
-        coefficient is reduced mod p once, divided once by the product of
-        the operands' and the slots' denominators, and built once."""
+        _over_common_denominator.  Each term pair's product, times n0 and
+        times n1, is summed with unreduced integer coefficients into two maps
+        per (i, j, wrap), and each map is multiplied once by its slot factor;
+        each output coefficient is reduced mod p once, divided once by the
+        product of the operands' and the slots' denominators, and built once."""
         (s_num, s_den), (t_num, t_den) = s_frac, t_frac
+        sums = {}  # (i, j, wrap) -> (n0 part, n1 part)
+        for c12, j, wrap, expansion in self._pairs(s_num, t_num, _raw_mul):
+            for i, n0, n1 in expansion:
+                parts = sums.get((i, j, wrap))
+                if parts is None:
+                    parts = sums[(i, j, wrap)] = ({}, {})
+                if n0:
+                    part = parts[0]
+                    for m, c in c12.items():
+                        part[m] = part.get(m, 0) + n0 * c
+                if n1:
+                    part = parts[1]
+                    for m, c in c12.items():
+                        part[m] = part.get(m, 0) + n1 * c
         acc = {}
-        for (i, j, n0, n1, wrap), fs in self._groups(s_num, t_num, _raw_mul).items():
-            k = self._constant(n0, n1, wrap)
-            if k:
-                g = fs[0]
-                if len(fs) > 1:
-                    g = dict(g)  # a pair's product may sit in other groups too
-                    for f in fs[1:]:
-                        for m, c in f.items():
-                            g[m] = g.get(m, 0) + c
-                polys.p_mul_into(acc.setdefault((i, j), {}), g, k)
+        for (i, j, wrap), parts in sums.items():
+            out = acc.setdefault((i, j), {})
+            for part, k in zip(parts, self._factors[wrap]):
+                if part and k:
+                    if k == polys.P_ONE:
+                        for m, c in part.items():
+                            out[m] = out.get(m, 0) + c
+                    else:
+                        polys.p_mul_into(out, part, k)
         p = self.p
         (_, da), (_, db) = self._fractions
         den = None

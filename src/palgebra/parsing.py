@@ -44,7 +44,8 @@ MAX_EXPONENT = 100
 
 
 def tokenize(text):
-    tokens = []
+    """The tokens of text, ending with END, yielded one at a time: a parser
+    that rejects its input stops reading it there."""
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -55,23 +56,22 @@ def tokenize(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(Token("INT", text[i:j], i))
+            yield Token("INT", text[i:j], i)
             i = j
             continue
         if ch.isalpha() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(Token("NAME", text[i:j], i))
+            yield Token("NAME", text[i:j], i)
             i = j
             continue
         if ch in _OPS:
-            tokens.append(Token("OP", ch, i))
+            yield Token("OP", ch, i)
             i += 1
             continue
         raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("END", "", n))
-    return tokens
+    yield Token("END", "", n)
 
 
 class _Parser:
@@ -79,19 +79,18 @@ class _Parser:
     value type's operators."""
 
     def __init__(self, text, atoms, from_int):
-        self.text = text
         self.tokens = tokenize(text)
-        self.i = 0
+        self.tok = next(self.tokens)
         self.atoms = atoms
         self.from_int = from_int
         self.depth = 0
 
     def peek(self):
-        return self.tokens[self.i]
+        return self.tok
 
     def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
+        tok = self.tok
+        self.tok = next(self.tokens)
         return tok
 
     def nest(self, tok):

@@ -180,9 +180,10 @@ def test_mul_agrees_with_term_by_term_reference(p):
     # irreducible with three terms, so no coefficient (at most two terms)
     # cancels it: every coefficient it scales keeps it as denominator
     shared = one / (a * b + a + 1)
-    # polynomial slots, then rational slots whose basis products carry
-    # denominators of their own
-    for alpha, beta in ((a, b), (a / b, one / (a + b))):
+    # polynomial slots, rational slots whose basis products carry
+    # denominators of their own, and a zero left slot, whose alpha factors
+    # are the empty map and not 1
+    for alpha, beta in ((a, b), (a / b, one / (a + b)), (rat.zero(), b), (rat.zero(), one / (a + b))):
         A = make_algebra(p, alpha, beta, rat)
         for _ in range(3):
             s = random_nonzero_element(rng, A, density)
@@ -281,6 +282,29 @@ def test_mul_multiplies_each_term_pair_once(p, monkeypatch):
     monkeypatch.setattr(RatFunc, "__mul__", lambda f, g: calls.append(1) or mul(f, g))
     A.mul(s, t)
     assert len(calls) <= 2 * len(s.entries) * len(t.entries)
+
+
+def test_mul_multiplies_each_output_sum_once_per_slot_factor(monkeypatch):
+    # a constant (n0 + n1*alpha) * beta^w is linear in n0 and n1, so each
+    # output monomial sums its pairs' products into at most four maps, one
+    # per wrap and part, and multiplies each once by its slot factor.
+    # That takes 706 calls here, 625 of them for the term pairs; multiplying
+    # each group of pairs by its whole constant instead took 959.
+    p = 5
+    rat = FieldDescriptor("rational", p)
+    a, b, one = rat.gen("a"), rat.gen("b"), rat.one()
+    A = make_algebra(p, a / b, one / (a + b), rat)
+    rng = random.Random(900)
+    poly = lambda r: random_poly_scalar(r, rat, max_degree=1, max_terms=2, nonzero=True)
+    dense = lambda: A.from_entries({(i, j): poly(rng) for i in range(p) for j in range(p)})
+    s, t = dense(), dense()
+    calls = []
+    mul_into = polys.p_mul_into
+    monkeypatch.setattr(polys, "p_mul_into", lambda out, f, g: calls.append(1) or mul_into(out, f, g))
+    prod = A.mul(s, t)
+    assert len(calls) <= len(s.entries) * len(t.entries) + 4 * p * p
+    monkeypatch.undo()
+    assert prod == mul_reference(A, s, t)
 
 
 def _dense_poly_elements(A, rng, count):

@@ -81,6 +81,18 @@ def test_nesting_limit():
         parse_element("(" * 3000 + "x" + ")" * 3000, A)
 
 
+
+def test_tokenizing_stops_where_the_parser_rejects():
+    # the illegal character lies past the nesting limit, so only a parser
+    # that read the whole input first would report it
+    text = "(" * 3000 + "a" + ")" * 3000 + "$"
+    with pytest.raises(ExprSyntaxError, match="nested deeper") as exc:
+        parse_scalar(text, RAT5)
+    assert exc.value.position == MAX_NESTING
+    with pytest.raises(ExprSyntaxError, match="unexpected character") as exc:
+        parse_scalar("(" * MAX_NESTING + "$", RAT5)
+    assert exc.value.position == MAX_NESTING
+
 def test_exponent_limit():
     a = RAT5.gen("a")
     n = MAX_EXPONENT
