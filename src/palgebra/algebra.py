@@ -42,7 +42,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 
 from . import polys
 from .errors import (
@@ -117,15 +116,9 @@ class SymbolAlgebra:
 
     # element constructors ---------------------------------------------------
     def _grid(self, entries):
-        """Element from a map (i, j) -> scalar; exact zeros are dropped."""
-        p = self.p
-        kept = {}
-        for (i, j), c in entries.items():
-            if not (0 <= i < p and 0 <= j < p):
-                raise ValueError("monomial exponents must lie in [0, p)")
-            if not c._surely_zero():
-                kept[(i, j)] = c
-        return AlgElement(self, kept)
+        """Element from a map (i, j) -> scalar with 0 <= i, j < p; exact
+        zeros are dropped."""
+        return AlgElement(self, {ij: c for ij, c in entries.items() if not c._surely_zero()})
 
     def zero(self):
         return self._grid({})
@@ -149,10 +142,12 @@ class SymbolAlgebra:
     def from_entries(self, entries):
         """Element from a map (i, j) -> scalar-or-int with 0 <= i, j < p;
         a scalar the field does not own raises ValueError."""
-        field = self.field
+        p, field = self.p, self.field
         entries = {ij: field.from_int(c) if isinstance(c, int) else c for ij, c in entries.items()}
         if not all(map(field.owns, entries.values())):
             raise ValueError("coefficients must be scalars of the base field")
+        if not all(0 <= i < p and 0 <= j < p for i, j in entries):
+            raise ValueError("monomial exponents must lie in [0, p)")
         return self._grid(entries)
 
     def _check(self, t):
@@ -462,7 +457,7 @@ class SymbolAlgebra:
                 if c:
                     part = self.add(part, self.scale(c, iterates[m]))
             parts.append(part)
-        return AdComponents(tuple(parts))
+        return AdComponents(parts)
 
 
 class AlgElement:
@@ -585,26 +580,13 @@ class AlgElement:
         return f"AlgElement({self.algebra}, {self})"
 
 
-@dataclass(frozen=True)
-class AdComponents:
+class AdComponents(tuple):
     """Eigencomponents of an element under the inner derivation by x_el."""
 
-    parts: tuple
+    __slots__ = ()
 
     def total(self):
-        out = self.parts[0]
-        for part in self.parts[1:]:
-            out = out + part
-        return out
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __len__(self):
-        return len(self.parts)
+        return functools.reduce(operator.add, self)
 
 
 def _over_common_denominator(entries, p):

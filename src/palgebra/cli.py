@@ -13,8 +13,9 @@ two sides print differently.  The counterexample counts compare integers.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
 input error: malformed syntax, a -p that is not prime, a zero right slot,
-a division by zero or by a zero divisor inside an input expression, or a
-scale --u that is zero or involves y.
+a division by zero or by a zero divisor inside an input expression, a
+--let name that is not an identifier or rebinds a, b, x or y, --precision
+over a rational field, or a scale --u that is zero or involves y.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def _field_from_args(args):
         precision = args.precision if args.precision is not None else 8
         return FieldDescriptor("laurent", args.p, precision)
     if args.precision is not None:
-        raise ExprSyntaxError("--precision only applies to laurent fields", 0)
+        raise ValueError("--precision only applies to laurent fields")
     return FieldDescriptor("rational", args.p)
 
 
@@ -196,12 +197,17 @@ def _element(text, algebra, env):
 
 
 def _bindings(args, field):
+    """The --let bindings, each an identifier that expressions can name and
+    that is not one of the built-in names a, b, x, y."""
     env = {}
     for item in args.let:
         name, eq, expr = item.partition("=")
-        if not eq or not name.strip():
-            raise ExprSyntaxError(f"malformed --let binding {item!r}", 0)
-        env[name.strip()] = parse_scalar(expr, field, env)
+        name = name.strip()
+        if not eq or not name.isidentifier():
+            raise ValueError(f"malformed --let binding {item!r}: expected NAME=EXPR")
+        if name in ("a", "b", "x", "y"):
+            raise ValueError(f"--let cannot rebind the built-in name {name!r}")
+        env[name] = parse_scalar(expr, field, env)
     return env
 
 

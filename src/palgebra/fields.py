@@ -58,19 +58,6 @@ class RatFunc:
             num, den = _monic_den(num, den, p)
         self.num, self.den = num, den
 
-    # constructors ---------------------------------------------------------
-    @classmethod
-    def zero(cls, p):
-        return cls(p, {}, _canonical=True)
-
-    @classmethod
-    def one(cls, p):
-        return cls(p, polys.p_const(1, p), _canonical=True)
-
-    @classmethod
-    def const(cls, p, c):
-        return cls(p, polys.p_const(c, p), _canonical=True)
-
     # predicates -----------------------------------------------------------
     def is_zero(self):
         return not self.num
@@ -96,7 +83,7 @@ class RatFunc:
                 raise ValueError("mixed characteristics")
             return other
         if isinstance(other, int):
-            return RatFunc.const(self.p, other)
+            return RatFunc(self.p, polys.p_const(other, self.p), _canonical=True)
         return NotImplemented
 
     def __add__(self, other):
@@ -135,7 +122,7 @@ class RatFunc:
             return NotImplemented
         p = self.p
         if self.is_zero() or other.is_zero():
-            return RatFunc.zero(p)
+            return RatFunc(p, {})
         if self.is_poly() and other.is_poly():
             return RatFunc(p, polys.p_mul(self.num, other.num, p), _canonical=True)
         # cross-reduce so the product needs no further gcd
@@ -165,8 +152,8 @@ class RatFunc:
 
     def __pow__(self, n):
         if n < 0:
-            return RatFunc.one(self.p) / self ** (-n)
-        return polys.power(self, n, RatFunc.one(self.p), operator.mul)
+            return self._coerce(1) / self ** (-n)
+        return polys.power(self, n, self._coerce(1), operator.mul)
 
     def frobenius(self):
         p = self.p
@@ -180,7 +167,7 @@ class RatFunc:
     # comparison / hashing ---------------------------------------------------
     def __eq__(self, other):
         if isinstance(other, int):
-            other = RatFunc.const(self.p, other)
+            other = self._coerce(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.p == other.p and self.num == other.num and self.den == other.den
@@ -273,23 +260,6 @@ class LaurentScalar:
             self.la = la
             self.lb = lb
 
-    # constructors ---------------------------------------------------------
-    @classmethod
-    def zero(cls, p, prec):
-        return cls(p, prec, {})
-
-    @classmethod
-    def one(cls, p, prec):
-        return cls(p, prec, {(0, 0): 1})
-
-    @classmethod
-    def const(cls, p, prec, c):
-        return cls(p, prec, {(0, 0): c % p})
-
-    @classmethod
-    def monomial(cls, p, prec, ea, eb, c=1):
-        return cls(p, prec, {(ea, eb): c % p})
-
     # predicates -----------------------------------------------------------
     @property
     def exact(self):
@@ -332,7 +302,7 @@ class LaurentScalar:
                 raise ValueError("mixed characteristics")
             return other
         if isinstance(other, int):
-            return LaurentScalar.const(self.p, self.prec, other)
+            return LaurentScalar(self.p, self.prec, {(0, 0): other})
         return NotImplemented
 
     def __add__(self, other):
@@ -379,7 +349,7 @@ class LaurentScalar:
             return NotImplemented
         p = self.p
         if self._surely_zero() or other._surely_zero():
-            return LaurentScalar.zero(p, self.prec)
+            return LaurentScalar(p, self.prec, {})
         # windows: unknown terms of one factor smear across the support of
         # the other, bounded below by la/lb of that other factor
         ha = hb = INF
@@ -415,7 +385,7 @@ class LaurentScalar:
             raise PrecisionExhausted("leading b-level is not certified")
         k0 = min(ea for ea, eb in self.terms if eb == j0)
         c0 = self.terms[(k0, j0)]
-        m_inv = LaurentScalar.monomial(p, prec, -k0, -j0, polys.inv_mod(c0, p))
+        m_inv = LaurentScalar(p, prec, {(-k0, -j0): polys.inv_mod(c0, p)})
         w = self * m_inv - 1
         if w._surely_zero():
             return m_inv
@@ -472,7 +442,7 @@ class LaurentScalar:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        return polys.power(self, n, LaurentScalar.one(self.p, self.prec), operator.mul)
+        return polys.power(self, n, self._coerce(1), operator.mul)
 
     def frobenius(self):
         return LaurentScalar(
@@ -489,7 +459,7 @@ class LaurentScalar:
     def __eq__(self, other):
         """Equality of certified approximations: same terms, same window."""
         if isinstance(other, int):
-            other = LaurentScalar.const(self.p, self.prec, other)
+            other = self._coerce(other)
         if not isinstance(other, LaurentScalar):
             return NotImplemented
         return (

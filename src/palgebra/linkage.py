@@ -99,16 +99,6 @@ class LemmaReport:
     def ok(self):
         return self.sides_agree and self.shift_conjugation_ok
 
-    def to_dict(self):
-        return {
-            "k": self.k,
-            "m": self.m,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-            "sides_agree": self.sides_agree,
-            "shift_conjugation_ok": self.shift_conjugation_ok,
-        }
-
 
 def verify_presentation(A: SymbolAlgebra, z: AlgElement, w: AlgElement) -> LinkageWitness:
     """Check the generator-pair relations and extract the certified slots.

@@ -85,9 +85,6 @@ class _Parser:
         self.from_int = from_int
         self.depth = 0
 
-    def peek(self):
-        return self.tok
-
     def advance(self):
         tok = self.tok
         self.tok = next(self.tokens)
@@ -99,14 +96,14 @@ class _Parser:
             raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", tok.pos)
 
     def expect_op(self, op):
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "OP" or tok.text != op:
             raise ExprSyntaxError(f"expected {op!r}", tok.pos)
         return self.advance()
 
     def parse(self):
         value = self.expr()
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "END":
             raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
         return value
@@ -114,7 +111,7 @@ class _Parser:
     def expr(self):
         value = self.term()
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok.kind == "OP" and tok.text in "+-":
                 self.advance()
                 rhs = self.term()
@@ -125,7 +122,7 @@ class _Parser:
     def term(self):
         value = self.factor()
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok.kind == "OP" and tok.text in "*/":
                 self.advance()
                 rhs = self.factor()
@@ -134,7 +131,7 @@ class _Parser:
                 return value
 
     def factor(self):
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "OP" and tok.text == "-":
             self.advance()
             self.nest(tok)
@@ -143,10 +140,10 @@ class _Parser:
             return value
         value = self.atom()
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok.kind == "OP" and tok.text == "^":
                 self.advance()
-                etok = self.peek()
+                etok = self.tok
                 if etok.kind != "INT":
                     raise ExprSyntaxError("expected a nonnegative integer exponent", etok.pos)
                 self.advance()
@@ -158,7 +155,7 @@ class _Parser:
                 return value
 
     def atom(self):
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "INT":
             self.advance()
             return self.from_int(int(tok.text))

@@ -31,9 +31,9 @@ def random_monomial_scalar(rng, field, max_degree=2):
     return field.from_terms({m: rng.randrange(1, field.prime)})
 
 
-def random_fx_element(rng, algebra, nonzero=True, max_degree=1):
-    """Random element of the commutative subring F[x]; coefficients are
-    polynomials with exponents at most ``max_degree``."""
+def random_fx_element(rng, algebra, max_degree=1):
+    """Random nonzero element of the commutative subring F[x]; coefficients
+    are polynomials with exponents at most ``max_degree``."""
     p = algebra.p
     while True:
         entries = {}
@@ -42,7 +42,7 @@ def random_fx_element(rng, algebra, nonzero=True, max_degree=1):
                 c = random_poly_scalar(rng, algebra.field, max_degree=max_degree, max_terms=2)
                 if not c.is_zero():
                     entries[(i, 0)] = c
-        if entries or not nonzero:
+        if entries:
             return algebra.from_entries(entries)
 
 

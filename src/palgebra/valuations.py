@@ -227,18 +227,6 @@ class SampleRecord:
     def ok(self):
         return self.norm_identity_ok and self.residue_ok
 
-    def to_dict(self):
-        return {
-            "algebra": self.algebra,
-            "u": self.u,
-            "p_power": self.p_power,
-            "value": str(self.value),
-            "fractional_coordinate": self.fractional_coordinate,
-            "coordinate_residue": self.coordinate_residue,
-            "norm_identity_ok": self.norm_identity_ok,
-            "residue_ok": self.residue_ok,
-        }
-
 
 @dataclass(frozen=True)
 class CounterexampleReport:
@@ -273,22 +261,6 @@ class CounterexampleReport:
     @property
     def ok(self):
         return self.checks_passed == self.total_checks and self.lattices_always_distinct
-
-    def to_dict(self):
-        return {
-            "p": self.p,
-            "precision": self.precision,
-            "samples": self.samples,
-            "seed": self.seed,
-            "value_group_a": self.value_group_a,
-            "value_group_b": self.value_group_b,
-            "checks_passed": self.checks_passed,
-            "total_checks": self.total_checks,
-            "lattices_always_distinct": self.lattices_always_distinct,
-            "records": [r.to_dict() for r in self.records],
-            "verified_facts": list(self.verified_facts),
-            "background_facts": list(self.background_facts),
-        }
 
 
 def counterexample_check(p, precision, samples, seed) -> CounterexampleReport:

@@ -320,6 +320,33 @@ def test_large_exponent_exit_2(capsys):
     assert (code, out) == (2, "")
 
 
+@pytest.mark.parametrize("let, message", [
+    # a, b, x, y already name the indeterminates and the generators
+    ("a=b", "--let cannot rebind the built-in name 'a'"),
+    ("b=a", "--let cannot rebind the built-in name 'b'"),
+    ("x=a", "--let cannot rebind the built-in name 'x'"),
+    (" y =a", "--let cannot rebind the built-in name 'y'"),
+    # no expression can refer to a name that is not an identifier
+    ("1q=a", "malformed --let binding '1q=a': expected NAME=EXPR"),
+    ("q r=a", "malformed --let binding 'q r=a': expected NAME=EXPR"),
+    ("=a", "malformed --let binding '=a': expected NAME=EXPR"),
+    ("q", "malformed --let binding 'q': expected NAME=EXPR"),
+], ids=["a", "b", "x", "y", "digit-first", "space", "no-name", "no-expr"])
+def test_let_binds_only_new_identifiers_exit_2(capsys, let, message):
+    code, out, err = run(capsys, "eval", "-p", "3", "--alpha", "a", "--beta", "b",
+                         "--let", let, "--expr", "a*x")
+    assert (code, out) == (2, "")
+    assert err == f"palgebra: invalid input: {message}\n"
+
+
+def test_precision_over_a_rational_field_is_invalid_input(capsys):
+    # a flag is not an expression, so the error carries no offset
+    code, out, err = run(capsys, "eval", "-p", "3", "--alpha", "a", "--beta", "b",
+                         "--expr", "x", "--precision", "5")
+    assert (code, out) == (2, "")
+    assert err == "palgebra: invalid input: --precision only applies to laurent fields\n"
+
+
 def test_math_failure_exit_1(capsys):
     # beta = 0 names no algebra: the input is at fault, not the mathematics,
     # so it is a usage error (exit 2) that still names InvalidSlot

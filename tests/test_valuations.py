@@ -248,9 +248,9 @@ def test_counterexample_check_report(p):
 def test_counterexample_check_deterministic():
     rep1 = counterexample_check(2, precision=6, samples=5, seed=11)
     rep2 = counterexample_check(2, precision=6, samples=5, seed=11)
-    assert rep1.to_dict() == rep2.to_dict()
+    assert rep1 == rep2
     rep3 = counterexample_check(2, precision=6, samples=5, seed=12)
-    assert rep3.to_dict() != rep1.to_dict()
+    assert rep3 != rep1
 
 
 def test_counterexample_check_validates_samples():
