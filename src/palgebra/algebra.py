@@ -65,8 +65,6 @@ class SymbolAlgebra:
     __slots__ = ("p", "alpha", "beta", "field", "_zero", "_one", "_fractions", "_factors", "_scalars")
 
     def __init__(self, p, alpha, beta, field):
-        if not polys.is_prime(p):
-            raise InvalidPrime(f"{p} is not prime")
         if field.prime != p:
             raise InvalidPrime("field characteristic does not match p")
         if not field.owns(alpha) or not field.owns(beta):
@@ -407,8 +405,6 @@ class SymbolAlgebra:
         self._require_fx(u)
         p = self.p
         k %= p
-        if k == 0:
-            return u
         entries = {}
         for (e, _), c in u.support():
             # y^k x^e = (x + k)^e y^k; e < p, so no x^p wraps to alpha

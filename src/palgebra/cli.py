@@ -2,9 +2,9 @@
 
 Verbs: link, verify-lemma, decompose, identity, scale, counterexample,
 eval.  Scalars and elements are given as expressions in a, b (plus x, y
-for elements); --let name=expr binds extra names.  Output is a text
-report with one verification line per checked relation; --json emits the
-same data as a machine-readable object with fixed key order.
+for elements); --let name=expr binds an extra name, an ASCII identifier.
+Output is a text report with one verification line per checked relation;
+--json emits the same data as a machine-readable object with fixed key order.
 
 Every check line carries a verdict reached on certified terms: two values
 agree when their difference has no certified term (fields.certified_equal),
@@ -14,14 +14,13 @@ two sides print differently.  The counterexample counts compare integers.
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
 input error: malformed syntax, a -p that is not prime, a zero right slot,
 a division by zero or by a zero divisor inside an input expression, a
---let name that is not an identifier or rebinds a, b, x or y, --precision
-over a rational field, or a scale --u that is zero or involves y.
+--let name that is not an ASCII identifier or rebinds a, b, x or y,
+--precision over a rational field, or a scale --u that is zero or has y.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import sys
@@ -44,7 +43,7 @@ from .linkage import (
     scale_slot_by_norm,
     verify_lemma,
 )
-from .parsing import parse_element, parse_scalar
+from .parsing import is_name, parse_element, parse_scalar
 from .valuations import counterexample_check
 
 USAGE_EXIT = 2
@@ -127,6 +126,10 @@ class Report:
         return json.dumps(payload, indent=2)
 
 
+# the window of a Laurent field, and counterexample's, unless --precision is given
+DEFAULT_PRECISION = 8
+
+
 # built once, by the first main call: importing this module builds nothing
 @functools.cache
 def _build_parser():
@@ -136,74 +139,57 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(sp, handler, slots=("alpha", "beta"), element_opts=()):
-        sp.set_defaults(run=handler)
+    def verb(name, handler, help, slots=(), elements=()):
+        """A verb with -p and --json; one with slots also takes its slot and
+        element expressions, --field, --precision and --let (_parse_inputs)."""
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=handler, slots=slots, elements=elements)
         sp.add_argument("-p", type=int, required=True, metavar="PRIME", help="the prime degree")
         for slot in slots:
             sp.add_argument(f"--{slot}", required=True, metavar="EXPR", help=f"{slot} slot expression")
-        for opt in element_opts:
+        for opt in elements:
             sp.add_argument(f"--{opt}", required=True, metavar="ELEM", help=f"element expression {opt}")
-        sp.add_argument("--field", choices=["rational", "laurent"], default="rational")
-        sp.add_argument("--precision", type=int, default=None, help="window for laurent fields")
-        sp.add_argument("--let", action="append", default=[], metavar="NAME=EXPR",
-                        help="bind a scalar name usable in expressions")
+        if slots:
+            sp.add_argument("--field", choices=["rational", "laurent"], default="rational")
+            sp.add_argument("--precision", type=int, default=None, help="window for laurent fields")
+            sp.add_argument("--let", action="append", default=[], metavar="NAME=EXPR",
+                            help="bind a scalar name usable in expressions")
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
+        return sp
 
-    common(sub.add_parser("link", help="common left slot for a right-linked pair"), _cmd_link,
-           slots=("alpha", "gamma", "beta"))
-    common(sub.add_parser("verify-lemma", help="check (x+y)^p-(x+y) = x^p-x+y^p for a commutation pair"),
-           _cmd_verify_lemma, element_opts=("x", "t"))
-    common(sub.add_parser("decompose", help="eigendecomposition under v -> v*x - x*v"),
-           _cmd_decompose, element_opts=("t",))
-    common(sub.add_parser("identity", help="the presentation [alpha+beta, beta) of the same algebra"),
-           _cmd_identity)
-    common(sub.add_parser("scale", help="rescale the right slot by a norm from F[x]"),
-           _cmd_scale, element_opts=("u",))
-    cx = sub.add_parser("counterexample", help="left-linked but not right-linked family check")
-    cx.set_defaults(run=_cmd_counterexample)
-    cx.add_argument("-p", type=int, required=True, metavar="PRIME")
-    cx.add_argument("--precision", type=int, default=8)
+    slots = ("alpha", "beta")
+    verb("link", _cmd_link, "common left slot for a right-linked pair",
+         slots=("alpha", "gamma", "beta"))
+    verb("verify-lemma", _cmd_verify_lemma, "check (x+y)^p-(x+y) = x^p-x+y^p for a commutation pair",
+         slots, elements=("x", "t"))
+    verb("decompose", _cmd_decompose, "eigendecomposition under v -> v*x - x*v", slots, elements=("t",))
+    verb("identity", _cmd_identity, "the presentation [alpha+beta, beta) of the same algebra", slots)
+    verb("scale", _cmd_scale, "rescale the right slot by a norm from F[x]", slots, elements=("u",))
+    cx = verb("counterexample", _cmd_counterexample, "left-linked but not right-linked family check")
+    cx.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     cx.add_argument("--samples", type=int, default=20)
     cx.add_argument("--seed", type=int, default=0)
-    cx.add_argument("--json", action="store_true")
-    common(sub.add_parser("eval", help="normal form of an element expression"),
-           _cmd_eval, element_opts=("expr",))
+    verb("eval", _cmd_eval, "normal form of an element expression", slots, elements=("expr",))
     return parser
 
 
 def _field_from_args(args):
     if args.field == "laurent":
-        precision = args.precision if args.precision is not None else 8
+        precision = args.precision if args.precision is not None else DEFAULT_PRECISION
         return FieldDescriptor("laurent", args.p, precision)
     if args.precision is not None:
         raise ValueError("--precision only applies to laurent fields")
     return FieldDescriptor("rational", args.p)
 
 
-@contextlib.contextmanager
-def _reading_input():
-    """Input that names no value (a division by zero or by a zero divisor,
-    or a zero right slot) is a usage error, exit 2; the library reports it
-    as failed mathematics, exit 1."""
-    try:
-        yield
-    except (DivisionByZero, NotInvertible, InvalidSlot) as exc:
-        raise ValueError(f"{type(exc).__name__}: {exc}") from exc
-
-
-def _element(text, algebra, env):
-    with _reading_input():
-        return parse_element(text, algebra, env)
-
-
 def _bindings(args, field):
-    """The --let bindings, each an identifier that expressions can name and
-    that is not one of the built-in names a, b, x, y."""
+    """The --let bindings, each an ASCII identifier that expressions can name
+    and that is not one of the built-in names a, b, x, y."""
     env = {}
     for item in args.let:
         name, eq, expr = item.partition("=")
         name = name.strip()
-        if not eq or not name.isidentifier():
+        if not eq or not is_name(name):
             raise ValueError(f"malformed --let binding {item!r}: expected NAME=EXPR")
         if name in ("a", "b", "x", "y"):
             raise ValueError(f"--let cannot rebind the built-in name {name!r}")
@@ -211,26 +197,31 @@ def _bindings(args, field):
     return env
 
 
-def _parse_inputs(args, slots=("alpha", "beta")):
-    """The preamble shared by the algebra verbs: the base field, the --let
-    bindings and the slot flags, parsed in that order, and a report whose
-    inputs start with p, the field and the slots."""
+def _parse_inputs(args):
+    """The preamble of the verbs with slots: the field, the --let bindings,
+    the slots, the algebra [alpha, beta) and the elements, read in that order.
+    Returns the algebra, the values by flag name and a report whose inputs are
+    p, the field and the values in declaration order.  Input that names no
+    value (a division by zero or by a zero divisor, or a zero right slot) is
+    a usage error, exit 2; the library reports it as failed mathematics."""
     fieldd = _field_from_args(args)
-    with _reading_input():
+    try:
         env = _bindings(args, fieldd)
-        values = [parse_scalar(getattr(args, slot), fieldd, env) for slot in slots]
-        if values[slots.index("beta")].is_zero():
-            raise InvalidSlot("the right slot must be nonzero")
+        values = {slot: parse_scalar(getattr(args, slot), fieldd, env) for slot in args.slots}
+        A = make_algebra(args.p, values["alpha"], values["beta"], fieldd)
+        for name in args.elements:
+            values[name] = parse_element(getattr(args, name), A, env)
+    except (DivisionByZero, NotInvertible, InvalidSlot) as exc:
+        raise ValueError(f"{type(exc).__name__}: {exc}") from exc
     inputs = {"p": args.p, "field": str(fieldd)}
-    inputs.update((slot, str(value)) for slot, value in zip(slots, values))
-    return fieldd, env, values, Report(args.verb, inputs)
+    inputs.update((name, str(value)) for name, value in values.items())
+    return A, values, Report(args.verb, inputs)
 
 
-def _cmd_link(args):
-    fieldd, _, (alpha, gamma, beta), report = _parse_inputs(args, ("alpha", "gamma", "beta"))
-    res = right_to_left(alpha, gamma, beta, args.p, fieldd)
+def _cmd_link(args, A, values, report):
+    res = right_to_left(A.alpha, values["gamma"], A.beta, A.p, A.field)
     report.results.update(res.to_dict())
-    left, right, summed = res.common_left, res.pres_A.right, alpha + res.pres_A.right
+    left, right, summed = res.common_left, res.pres_A.right, A.alpha + res.pres_A.right
     wit, wit2 = res.witness_A, res.witness_Aprime
     report.compare("z^p - z in A", left, wit.claimed_left)
     report.compare("w^p in A", right, wit.claimed_right)
@@ -241,13 +232,8 @@ def _cmd_link(args):
     return report
 
 
-def _cmd_verify_lemma(args):
-    fieldd, env, (alpha, beta), report = _parse_inputs(args)
-    A = make_algebra(args.p, alpha, beta, fieldd)
-    x_el = _element(args.x, A, env)
-    t_el = _element(args.t, A, env)
-    report.inputs.update(x=str(x_el), t=str(t_el))
-    lem = verify_lemma(A, x_el, t_el)
+def _cmd_verify_lemma(args, A, values, report):
+    lem = verify_lemma(A, values["x"], values["t"])
     report.results["k"] = lem.k
     report.results["m"] = lem.m
     report.compare("(x+t)^p - (x+t) = (x^p - x) + t^p", lem.rhs, lem.lhs)
@@ -255,11 +241,8 @@ def _cmd_verify_lemma(args):
     return report
 
 
-def _cmd_decompose(args):
-    fieldd, env, (alpha, beta), report = _parse_inputs(args)
-    A = make_algebra(args.p, alpha, beta, fieldd)
-    t = _element(args.t, A, env)
-    report.inputs["t"] = str(t)
+def _cmd_decompose(args, A, values, report):
+    t = values["t"]
     comps = A.ad_decompose(t, A.x())
     for i, part in enumerate(comps):
         report.results[f"t_{i}"] = str(part)
@@ -271,31 +254,28 @@ def _cmd_decompose(args):
     return report
 
 
-def _cmd_identity(args):
-    fieldd, _, (alpha, beta), report = _parse_inputs(args)
-    pres = SymbolPresentation(alpha, beta, args.p, fieldd)
+def _cmd_identity(args, A, values, report):
+    pres = SymbolPresentation(A.alpha, A.beta, A.p, A.field)
     new_pres, wit = chain_identity(pres)
     report.results["presentation"] = str(new_pres)
     report.results["witness"] = wit.to_dict()
-    left = alpha + beta
+    left = A.alpha + A.beta
     report.compare("z^p - z", left, wit.claimed_left)
-    report.compare("w^p", beta, wit.claimed_right)
+    report.compare("w^p", A.beta, wit.claimed_right)
     report.compare("w z w^-1 = z + 1", wit.z1w, wit.wz, brief=True)
     return report
 
 
-def _cmd_scale(args):
-    fieldd, env, (alpha, beta), report = _parse_inputs(args)
-    pres = SymbolPresentation(alpha, beta, args.p, fieldd)
-    u = _element(args.u, pres.to_algebra(), env)
+def _cmd_scale(args, A, values, report):
+    u = values["u"]
     if u.is_zero() or any(j for (_, j), _ in u.support()):
         raise ValueError(f"--u must be a nonzero element of F[x], got {u}")
-    report.inputs["u"] = str(u)
+    pres = SymbolPresentation(A.alpha, A.beta, A.p, A.field)
     new_pres, wit, norm = scale_slot_by_norm(pres, u)
     report.results["norm"] = str(norm)
     report.results["presentation"] = str(new_pres)
     report.results["witness"] = wit.to_dict()
-    right = norm * beta
+    right = norm * A.beta
     report.compare("(u y)^p = N(u) beta", right, wit.claimed_right)
     report.compare("(u y) x (u y)^-1 = x + 1", wit.z1w, wit.wz, brief=True)
     return report
@@ -326,12 +306,9 @@ def _cmd_counterexample(args):
     return report
 
 
-def _cmd_eval(args):
-    fieldd, env, (alpha, beta), report = _parse_inputs(args)
-    A = make_algebra(args.p, alpha, beta, fieldd)
-    el = _element(args.expr, A, env)
-    report.inputs["expr"] = args.expr
-    report.results["normal_form"] = str(el)
+def _cmd_eval(args, A, values, report):
+    report.inputs["expr"] = args.expr  # the text as given; the key keeps its place
+    report.results["normal_form"] = str(values["expr"])
     return report
 
 
@@ -341,7 +318,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_EXIT
     try:
-        report = args.run(args)
+        report = args.run(args, *_parse_inputs(args)) if args.slots else args.run(args)
     except ExprSyntaxError as exc:
         print(f"palgebra: syntax error: {exc}", file=sys.stderr)
         return USAGE_EXIT

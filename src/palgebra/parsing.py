@@ -7,6 +7,7 @@ Grammar (whitespace insignificant):
     factor := '-' factor | atom ('^' INT)*
     atom   := INT | NAME | '(' expr ')'
 
+INT is a run of ASCII digits and NAME an ASCII identifier (``is_name``).
 Scalar expressions know the names ``a`` and ``b``; element expressions add
 ``x`` and ``y`` and multiply noncommutatively in source order.  Extra names
 may be supplied through an environment of let-bindings.  Exponents are
@@ -17,6 +18,7 @@ bound is a syntax error.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 from .algebra import AlgElement
@@ -31,6 +33,9 @@ class Token:
 
 
 _OPS = set("+-*/^()")
+_DIGITS = frozenset(string.digits)
+_NAME_START = frozenset(string.ascii_letters + "_")
+_NAME_CHARS = _NAME_START | _DIGITS
 
 # Each level of nesting costs the parser a few Python frames; this bound
 # keeps the deepest accepted expression well inside the recursion limit.
@@ -52,16 +57,16 @@ def tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             yield Token("INT", text[i:j], i)
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _NAME_START:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _NAME_CHARS:
                 j += 1
             yield Token("NAME", text[i:j], i)
             i = j
@@ -72,6 +77,11 @@ def tokenize(text):
             continue
         raise ExprSyntaxError(f"unexpected character {ch!r}", i)
     yield Token("END", "", n)
+
+
+def is_name(text):
+    """Whether text reads as one NAME token, an ASCII identifier."""
+    return text[:1] in _NAME_START and all(ch in _NAME_CHARS for ch in text)
 
 
 class _Parser:

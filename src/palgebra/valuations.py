@@ -42,12 +42,6 @@ class ResiduePoly:
         c = list(coeffs) + [0] * (p - len(coeffs))
         return cls(p, slot_residue % p, tuple(v % p for v in c[:p]))
 
-    def __add__(self, other):
-        self._check(other)
-        return ResiduePoly.make(
-            self.p, self.slot_residue, [u + v for u, v in zip(self.coeffs, other.coeffs)]
-        )
-
     def __mul__(self, other):
         self._check(other)
         p = self.p
@@ -69,22 +63,6 @@ class ResiduePoly:
         if self.p != other.p or self.slot_residue != other.slot_residue:
             raise ValueError("mixed residue rings")
 
-    def is_zero(self):
-        return not any(self.coeffs)
-
-    def __str__(self):
-        parts = []
-        for i in range(self.p - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                xs = "xbar" if i == 1 else f"xbar^{i}"
-                parts.append(xs if c == 1 else f"{c}*{xs}")
-        return " + ".join(parts) if parts else "0"
-
 
 @dataclass(frozen=True)
 class ValueGroupReport:
@@ -93,9 +71,6 @@ class ValueGroupReport:
     generators: tuple
     basis: tuple
     description: str
-
-    def __str__(self):
-        return self.description
 
 
 class ValuedAlgebra:

@@ -3,6 +3,7 @@
 import argparse
 import json
 import random
+import re
 import string
 import subprocess
 import sys
@@ -271,6 +272,27 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
     assert "unknown name 'q'" in err
 
 
+SLOTS = ["--alpha", "--beta"]
+ALGEBRA_FLAGS = ["--field", "--precision", "--let"]
+
+
+@pytest.mark.parametrize("verb, flags", [
+    ("link", ["--alpha", "--gamma", "--beta", *ALGEBRA_FLAGS]),
+    ("verify-lemma", [*SLOTS, "--x", "--t", *ALGEBRA_FLAGS]),
+    ("decompose", [*SLOTS, "--t", *ALGEBRA_FLAGS]),
+    ("identity", [*SLOTS, *ALGEBRA_FLAGS]),
+    ("scale", [*SLOTS, "--u", *ALGEBRA_FLAGS]),
+    ("counterexample", ["--precision", "--samples", "--seed"]),
+    ("eval", [*SLOTS, "--expr", *ALGEBRA_FLAGS]),
+])
+def test_verb_help_lists_its_flags(capsys, verb, flags):
+    code, out, _ = run(capsys, verb, "--help")
+    assert code == 0
+    usage = out.split("\n\n")[0]
+    assert usage.startswith(f"usage: palgebra {verb} ")
+    assert set(re.findall(r"(?<![\w-])-{1,2}[a-z][\w-]*", usage)) == {"-h", "-p", *flags, "--json"}
+
+
 def test_json_key_order_stable(capsys):
     _, out1, _ = run(capsys, "identity", "-p", "2", "--alpha", "a", "--beta", "b", "--json")
     _, out2, _ = run(capsys, "identity", "-p", "2", "--alpha", "a", "--beta", "b", "--json")
@@ -291,6 +313,13 @@ def test_syntax_error_exit_2(capsys):
                        "--expr", "x^")
     assert code == 2
     assert "syntax error" in err
+    # digits and letters of other scripts are no tokens
+    for expr, offset in (("2²", 1), ("a^٣", 2)):
+        code, out, err = run(capsys, "eval", "-p", "3", "--alpha", "a", "--beta", "b",
+                             "--expr", expr)
+        assert (code, out) == (2, "")
+        assert err == (f"palgebra: syntax error: unexpected character {expr[offset]!r} "
+                       f"(at offset {offset})\n")
 
 
 def test_deep_nesting_exit_2(capsys):
@@ -331,7 +360,9 @@ def test_large_exponent_exit_2(capsys):
     ("q r=a", "malformed --let binding 'q r=a': expected NAME=EXPR"),
     ("=a", "malformed --let binding '=a': expected NAME=EXPR"),
     ("q", "malformed --let binding 'q': expected NAME=EXPR"),
-], ids=["a", "b", "x", "y", "digit-first", "space", "no-name", "no-expr"])
+    # the tokenizer reads only ASCII names, so expressions could not refer to it
+    ("é=a", "malformed --let binding 'é=a': expected NAME=EXPR"),
+], ids=["a", "b", "x", "y", "digit-first", "space", "no-name", "no-expr", "non-ascii"])
 def test_let_binds_only_new_identifiers_exit_2(capsys, let, message):
     code, out, err = run(capsys, "eval", "-p", "3", "--alpha", "a", "--beta", "b",
                          "--let", let, "--expr", "a*x")
@@ -355,9 +386,16 @@ def test_math_failure_exit_1(capsys):
     assert "InvalidSlot" in err
 
 
-def test_zero_right_slot_on_link_exit_2(capsys):
-    code, out, err = run(capsys, "link", "-p", "3", "--alpha", "a", "--gamma", "a+b",
-                         "--beta", "0")
+@pytest.mark.parametrize("argv", [
+    ["link", "-p", "3", "--alpha", "a", "--gamma", "a+b", "--beta", "0"],
+    ["verify-lemma", "-p", "3", "--alpha", "a", "--beta", "0", "--x", "x", "--t", "y"],
+    ["decompose", "-p", "3", "--alpha", "a", "--beta", "0", "--t", "x"],
+    ["identity", "-p", "3", "--alpha", "a", "--beta", "0"],
+    ["scale", "-p", "3", "--alpha", "a", "--beta", "0", "--u", "x"],
+    ["eval", "-p", "3", "--alpha", "a", "--beta", "0", "--expr", "x"],
+], ids=lambda argv: argv[0])
+def test_zero_right_slot_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == "palgebra: invalid input: InvalidSlot: the right slot must be nonzero\n"

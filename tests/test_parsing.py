@@ -43,6 +43,11 @@ def test_parse_error_position():
     with pytest.raises(ExprSyntaxError) as exc:
         parse_scalar("a $ b", RAT5)
     assert exc.value.position == 2
+    # INT and NAME are ASCII: a digit or letter of another script is no token
+    for text, position in (("2²", 1), ("a^٣", 2), ("é", 0), ("aé", 1)):
+        with pytest.raises(ExprSyntaxError, match="unexpected character") as exc:
+            parse_scalar(text, RAT5)
+        assert exc.value.position == position
 
 
 def test_parse_rejects_negative_exponent_and_unknown_name():
