@@ -28,7 +28,10 @@ coefficients and summed, times n0 and times n1, per output monomial and
 wrap; each output sum is multiplied once by its slot factor, at most four
 per output monomial, and each output coefficient is reduced mod p once,
 divided once by the product of the operands' and the slots' denominators,
-and built once.  Canonical rational forms are unique, so the result is
+and built once.  A power of exact data multiplies numerators only: each
+square and product of its chain hands on its numerators over the product
+of denominators, undivided, and only the result's coefficients are
+divided, once each.  Canonical rational forms are unique, so the result is
 the same as reducing every scalar product and partial sum.  An inexact
 series, as a coefficient or as a slot, groups its term pairs per output
 monomial and whole constant, with one scalar product per term pair and
@@ -177,7 +180,9 @@ class SymbolAlgebra:
             s_frac = _over_common_denominator(s.entries, self.p)
             t_frac = s_frac and _over_common_denominator(t.entries, self.p)
             if t_frac:
-                return self._mul_terms(s_frac, t_frac)
+                num, den = self._mul_terms(s_frac, t_frac)
+                from_terms = self.field.from_terms
+                return AlgElement(self, {ij: from_terms(c, den) for ij, c in num.items()})
         # inexact series, as coefficients or slots, have no denominators;
         # window bookkeeping distributes over a Laurent constant only when it
         # is not split into its n0 and alpha parts, so each group of term
@@ -213,11 +218,12 @@ class SymbolAlgebra:
 
     def _mul_terms(self, s_frac, t_frac):
         """The product of two elements given as (numerators, d) from
-        _over_common_denominator.  Each term pair's product, times n0 and
-        times n1, is summed with unreduced integer coefficients into two maps
-        per (i, j, wrap), and each map is multiplied once by its slot factor;
-        each output coefficient is reduced mod p once, divided once by the
-        product of the operands' and the slots' denominators, and built once."""
+        _over_common_denominator, in the same form: each output numerator
+        over the product of the operands' and the slots' denominators.  Each
+        term pair's product, times n0 and times n1, is summed with unreduced
+        integer coefficients into two maps per (i, j, wrap), each map is
+        multiplied once by its slot factor, and each output numerator is
+        reduced mod p once; the caller divides and builds the coefficients."""
         (s_num, s_den), (t_num, t_den) = s_frac, t_frac
         sums = {}  # (i, j, wrap) -> (n0 part, n1 part)
         for c12, j, wrap, expansion in self._pairs(s_num, t_num, _raw_mul):
@@ -249,13 +255,7 @@ class SymbolAlgebra:
         for d in (s_den, t_den, da, db):
             if d is not None:
                 den = d if den is None else polys.p_mul(den, d, p)
-        from_terms = self.field.from_terms
-        entries = {}
-        for ij, c in acc.items():
-            c = polys.p_reduce(c, p)
-            if c:
-                entries[ij] = from_terms(c, den)
-        return AlgElement(self, entries)
+        return {ij: r for ij, c in acc.items() if (r := polys.p_reduce(c, p))}, den
 
     def add(self, s, t):
         self._check(s)
@@ -282,7 +282,13 @@ class SymbolAlgebra:
         self._check(t)
         if n < 0:
             raise ValueError("negative powers go through inverse")
-        return polys.power(t, n, self.one(), self.mul)
+        # exact data: numerators over one denominator, divided at the end
+        frac = n and self._fractions is not None and _over_common_denominator(t.entries, self.p)
+        if not frac:
+            return polys.power(t, n, self.one(), self.mul)
+        num, den = polys.power(frac, n - 1, frac, self._mul_terms)
+        from_terms = self.field.from_terms
+        return AlgElement(self, {ij: from_terms(c, den) for ij, c in num.items()})
 
     def commutator(self, s, t):
         return self.sub(self.mul(s, t), self.mul(t, s))

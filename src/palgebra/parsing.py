@@ -11,9 +11,10 @@ INT is a run of ASCII digits and NAME an ASCII identifier (``is_name``).
 Scalar expressions know the names ``a`` and ``b``; element expressions add
 ``x`` and ``y`` and multiply noncommutatively in source order.  Extra names
 may be supplied through an environment of let-bindings.  Exponents are
-nonnegative integers of at most ``MAX_EXPONENT``.  Parentheses and unary
-minus together may nest at most ``MAX_NESTING`` deep.  Input past either
-bound is a syntax error.
+nonnegative integers of at most ``MAX_EXPONENT``, and so is each power's
+exponent times its base's total degree in a and b, which bounds a power of
+a power.  Parentheses and unary minus together may nest at most
+``MAX_NESTING`` deep.  Input past any of these bounds is a syntax error.
 """
 
 from __future__ import annotations
@@ -77,6 +78,14 @@ def tokenize(text):
             continue
         raise ExprSyntaxError(f"unexpected character {ch!r}", i)
     yield Token("END", "", n)
+
+
+def _degree(value):
+    """The largest |i| + |j| over the stored terms a^i b^j of a scalar's
+    numerator, denominator or Laurent terms, or of every coefficient's."""
+    scalars = value.entries.values() if isinstance(value, AlgElement) else (value,)
+    maps = [m for c in scalars for m in c._fraction() or (c.terms,) if m]
+    return max((abs(i) + abs(j) for m in maps for i, j in m), default=0)
 
 
 def is_name(text):
@@ -160,6 +169,9 @@ class _Parser:
                 n = int(etok.text)
                 if n > MAX_EXPONENT:
                     raise ExprSyntaxError(f"exponent {n} is larger than {MAX_EXPONENT}", etok.pos)
+                degree = n * _degree(value)
+                if degree > MAX_EXPONENT:
+                    raise ExprSyntaxError(f"power of degree {degree} is larger than {MAX_EXPONENT}", etok.pos)
                 value = value ** n
             else:
                 return value

@@ -121,6 +121,79 @@ def test_power_zero_is_one():
     assert A.power(A.y(), 0) == A.one()
 
 
+def _power_by_products(A, t, n):
+    """t^n as the left fold 1 * t * ... * t of n products."""
+    out = A.one()
+    for _ in range(n):
+        out = A.mul(out, t)
+    return out
+
+
+def _scalar_outcome(t):
+    """Whether t is a scalar, or "undecided" when its window cannot tell."""
+    try:
+        return t.is_scalar() is not None
+    except PrecisionExhausted:
+        return "undecided"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_exact_power_matches_repeated_products(p):
+    # exact powers square and multiply numerators over one denominator and
+    # divide once at the end; canonical forms are unique, so they equal the
+    # fold of products exactly, over polynomial and rational slots alike
+    rat = FieldDescriptor("rational", p)
+    a, b, one = rat.gen("a"), rat.gen("b"), rat.one()
+    rng = random.Random(1000 + p)
+    cases = []
+    for A in (rational_algebra(p), make_algebra(p, a / b, one / (a + b), rat)):
+        # three distinct denominators and a polynomial coefficient
+        u = A.from_entries({(0, 0): a / b, (1, 0): one / (a + 1), (0, 1): b / (a + b), (1, 1): one + a})
+        cases += [(A, u), (A, A.scale(one / (a + b + 1), random_nonzero_element(rng, A)))]
+    lau = FieldDescriptor("laurent", p, 6)
+    A = make_algebra(p, parse_scalar("a*b + 1", lau), parse_scalar("b^2 + a", lau), lau)
+    # exact Laurent coefficients, with terms of negative a- and b-exponent
+    u = A.from_entries({(0, 0): lau.from_terms({(-1, 0): 1, (0, 1): 1}), (1, 0): 1,
+                        (0, 1): lau.from_terms({(0, -1): 1})})
+    assert all(c.exact for c in A.power(u, p + 1).entries.values())
+    cases.append((A, u))
+    for A, t in cases:
+        for n in sorted({0, 1, 2, p, p + 1}):
+            assert A.power(t, n) == _power_by_products(A, t, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_inexact_power_matches_repeated_products(p):
+    # series coefficients or slots keep square-and-multiply over mul.  A
+    # window may differ from the fold's, which associates the products
+    # otherwise, but no certified term differs, and whether t^n is a scalar
+    # is decided, or undecided, as it is for the fold
+    rng = random.Random(1100 + p)
+    for window in (1, 3):
+        lau = FieldDescriptor("laurent", p, window)
+        den = lau.one() + lau.gen("a") + lau.gen("b")
+        series = lambda r: random_poly_scalar(r, lau, max_degree=1, max_terms=2) / den
+        for alpha, beta in (("a", "b"), ("1/(1+a)", "b/(1+b)")):
+            A = make_algebra(p, parse_scalar(alpha, lau), parse_scalar(beta, lau), lau)
+            for t in (random_nonzero_element(rng, A, 0.3, sample=series),
+                      A.x() + A.scale(series(rng), A.y())):
+                for n in sorted({0, 1, 2, p, p + 1}):
+                    power, fold = A.power(t, n), _power_by_products(A, t, n)
+                    assert A.certified_equal(power, fold)
+                    assert _scalar_outcome(power) == _scalar_outcome(fold)
+
+
+def test_inexact_power_is_undecided_where_repeated_products_are():
+    # at window 1 every non-scalar entry of t^3 is 0 + O(.), so neither t^3
+    # nor the fold decides whether it is a scalar
+    lau = FieldDescriptor("laurent", 2, 1)
+    A = make_algebra(2, parse_scalar("1/(1+a)", lau), parse_scalar("b/(1+b)", lau), lau)
+    t = A.x() + A.scale(parse_scalar("a/(1+a+b)", lau), A.y())
+    for power in (A.power(t, 3), _power_by_products(A, t, 3)):
+        with pytest.raises(PrecisionExhausted):
+            power.is_scalar()
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_scalars_are_central(p):
     A = rational_algebra(p)
@@ -384,6 +457,31 @@ def test_rational_slot_products_divide_once_per_output_coefficient(monkeypatch):
         calls.clear()
         A.mul(s, t)
         assert len(calls) <= p * p
+
+
+def test_rational_slot_powers_divide_once_per_output_coefficient(monkeypatch):
+    # a power squares and multiplies numerators over one denominator and
+    # divides each output coefficient once: here z^5 takes 2 gcds for its 4
+    # coefficients and w^5, a scalar, takes 1.  Building every square and
+    # product as canonical coefficients took 31 and 13.
+    p = 5
+    rat = FieldDescriptor("rational", p)
+    a, b, one = rat.gen("a"), rat.gen("b"), rat.one()
+    A = make_algebra(p, a / b, one / (a + b), rat)
+    x, y = A.x(), A.y()
+    w = A.mul(A.scalar(a / (a + b)) + x, y)
+    z = x + w
+    calls = []
+    gcd = polys.p_gcd
+    monkeypatch.setattr(polys, "p_gcd", lambda f, g, q: calls.append(1) or gcd(f, g, q))
+    powers = []
+    for t in (z, w):
+        calls.clear()
+        powers.append(A.power(t, p))
+        assert len(calls) <= len(powers[-1].entries)
+    monkeypatch.undo()
+    assert len(powers[1].entries) == 1
+    assert powers == [_power_by_products(A, t, p) for t in (z, w)]
 
 
 def test_inverse_reduces_each_power_forward_only(monkeypatch):

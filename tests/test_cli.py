@@ -349,6 +349,24 @@ def test_large_exponent_exit_2(capsys):
     assert (code, out) == (2, "")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--expr", "((1+a+b)^20)^10"],
+    ["--let", "q=(1+a+b)^20", "--expr", "q^10"],
+], ids=["nested", "let"])
+def test_power_of_a_power_exit_2(capsys, argv):
+    # both are (1+a+b)^200, over 8 s at p = 10007 with each exponent
+    # bounded on its own
+    code, out, err = run(capsys, "eval", "-p", "10007", "--alpha", "a", "--beta", "b", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("palgebra: syntax error: power of degree 200 is larger than 100")
+
+
+def test_power_at_the_degree_bound_is_accepted(capsys):
+    code, _, _ = run(capsys, "eval", "-p", "10007", "--alpha", "a", "--beta", "b",
+                     "--expr", "(1+a+b)^100")
+    assert code == 0
+
+
 @pytest.mark.parametrize("let, message", [
     # a, b, x, y already name the indeterminates and the generators
     ("a=b", "--let cannot rebind the built-in name 'a'"),

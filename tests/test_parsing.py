@@ -102,9 +102,9 @@ def test_exponent_limit():
     a = RAT5.gen("a")
     n = MAX_EXPONENT
     assert parse_scalar(f"a^{n}", RAT5) == a ** n
-    # each exponent of a chain is bounded on its own
-    assert parse_scalar(f"a^{n}^2", RAT5) == a ** (2 * n)
-    for text in (f"a^{n + 1}", "(1+a+b)^2186", f"a^2^{n + 1}", "b^" + "9" * 400):
+    # a chain of exponents is bounded by the degree of its power
+    assert parse_scalar(f"a^{n // 2}^2", RAT5) == a ** (n // 2 * 2)
+    for text in (f"a^{n + 1}", "(1+a+b)^2186", f"a^2^{n + 1}", "b^" + "9" * 400, f"a^{n}^2"):
         with pytest.raises(ExprSyntaxError) as exc:
             parse_scalar(text, RAT5)
         assert exc.value.position == text.rindex("^") + 1
@@ -112,6 +112,30 @@ def test_exponent_limit():
     assert parse_element(f"y^{n}", A) == A.scalar(RAT2.gen("b") ** (n // 2))
     with pytest.raises(ExprSyntaxError):
         parse_element(f"(x+y)^{n + 1}", A)
+
+
+def test_power_of_a_power_is_bounded_by_its_degree():
+    # ((1+a+b)^20)^10 is (1+a+b)^200, over 8 s at p = 10007 with each
+    # exponent bounded on its own; a let-bound base is bounded the same way
+    q = parse_scalar("(1+a+b)^20", RAT5)
+    for text, env in (("((1+a+b)^20)^10", None), ("q^10", {"q": q})):
+        with pytest.raises(ExprSyntaxError, match="power of degree 200 is larger than") as exc:
+            parse_scalar(text, RAT5, env)
+        assert exc.value.position == text.rindex("^") + 1
+    n = MAX_EXPONENT
+    assert parse_scalar(f"(1+a+b)^{n}", RAT5) == (1 + RAT5.gen("a") + RAT5.gen("b")) ** n
+    # denominators and negative Laurent exponents count by their size
+    lau = FieldDescriptor("laurent", 5, 4)
+    for text, field in ((f"(1/(1+a))^{n}^2", RAT5), (f"(1/a)^{n}^2", lau)):
+        with pytest.raises(ExprSyntaxError, match=f"power of degree {2 * n} is larger than"):
+            parse_scalar(text, field)
+    # an element's degree is the largest over its coefficients; x and y
+    # have coefficient 1, of degree 0
+    A = make_algebra(2, RAT2.gen("a"), RAT2.gen("b"), RAT2)
+    s = A.x() + A.y()
+    assert parse_element(f"(x+y)^{n}", A) == A.power(s, n)
+    with pytest.raises(ExprSyntaxError, match="power of degree 200 is larger than"):
+        parse_element("(x + (1+a+b)^20*y)^10", A)
 
 
 def test_unary_minus_and_integers():
