@@ -28,11 +28,11 @@ coefficients and summed, times n0 and times n1, per output monomial and
 wrap; each output sum is multiplied once by its slot factor, at most four
 per output monomial, and each output coefficient is reduced mod p once,
 divided once by the product of the operands' and the slots' denominators,
-and built once.  A power of exact data multiplies numerators only: each
-square and product of its chain hands on its numerators over the product
-of denominators, undivided, and only the result's coefficients are
-divided, once each.  Canonical rational forms are unique, so the result is
-the same as reducing every scalar product and partial sum.  An inexact
+and built once.  A power of exact data up to t^5, or any power over slots
+without denominators, multiplies numerators only: its chain hands them on
+undivided, and only the result's coefficients are divided, once each.
+Canonical rational forms are unique, so the result is the same as
+reducing every scalar product and partial sum.  An inexact
 series, as a coefficient or as a slot, groups its term pairs per output
 monomial and whole constant, with one scalar product per term pair and
 per group, whose windows the scalars track; that loop is the only place
@@ -282,9 +282,11 @@ class SymbolAlgebra:
         self._check(t)
         if n < 0:
             raise ValueError("negative powers go through inverse")
-        # exact data: numerators over one denominator, divided at the end
+        # exact data: numerators over one denominator, divided at the end.
+        # Each product carries the slots' denominators once more, so past
+        # t^5 over slots with denominators every product divides instead
         frac = n and self._fractions is not None and _over_common_denominator(t.entries, self.p)
-        if not frac:
+        if not frac or n > 5 and not polys.p_is_one(self._factors[0][0]):
             return polys.power(t, n, self.one(), self.mul)
         num, den = polys.power(frac, n - 1, frac, self._mul_terms)
         from_terms = self.field.from_terms

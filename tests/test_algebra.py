@@ -19,6 +19,7 @@ from palgebra import (
     make_algebra,
     parse_scalar,
 )
+from palgebra import algebra as algebra_module
 from palgebra import polys
 from palgebra.fields import LaurentScalar, RatFunc
 from palgebra.sampling import random_fx_element, random_monomial_scalar, random_poly_scalar
@@ -482,6 +483,35 @@ def test_rational_slot_powers_divide_once_per_output_coefficient(monkeypatch):
     monkeypatch.undo()
     assert len(powers[1].entries) == 1
     assert powers == [_power_by_products(A, t, p) for t in (z, w)]
+
+
+def test_long_rational_slot_powers_keep_numerators_small(monkeypatch):
+    # each undivided product multiplies the numerators by den(alpha) *
+    # den(beta) once more, so a long chain over [a/b, 1/(a+b)) divides at
+    # every product.  Dividing only t^15 at the end multiplied numerators of
+    # total degree 14 for x + y and 22 for z, against 6 and 10 for t^5.
+    p = 5
+    rat = FieldDescriptor("rational", p)
+    a, b, one = rat.gen("a"), rat.gen("b"), rat.one()
+    A = make_algebra(p, a / b, one / (a + b), rat)
+    x, y = A.x(), A.y()
+    z = x + A.mul(A.scalar(a / (a + b)) + x, y)
+    degrees = []
+    raw_mul = algebra_module._raw_mul
+
+    def recording_mul(f, g):
+        degrees.append(max(i + j for i, j in [*f, *g]))
+        return raw_mul(f, g)
+
+    monkeypatch.setattr(algebra_module, "_raw_mul", recording_mul)
+    for t in (x + y, z):
+        degrees.clear()
+        A.power(t, p)
+        short = max(degrees)
+        degrees.clear()
+        power = A.power(t, 3 * p)
+        assert max(degrees) <= short
+        assert power == _power_by_products(A, t, 3 * p)
 
 
 def test_inverse_reduces_each_power_forward_only(monkeypatch):
