@@ -642,7 +642,7 @@ def _x_expansion(p, i1, j1, i2):
     n0 = [0] * (i1 + i2 + 1)
     for k in range(i2 + 1):
         n0[i1 + k] = _COMB(i2, k) * pow(j1, i2 - k, p) % p
-    n1 = [0] * p
+    n1 = [0] * min(p, i1 + i2 + 1)
     # degrees reach at most 2p - 2, so one step of x^p = x + alpha leaves
     # each of them below p
     for d in range(p, i1 + i2 + 1):

@@ -12,10 +12,11 @@ so over Laurent fields a difference such as 0 + O(a^5) passes although the
 two sides print differently.  The counterexample counts compare integers.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
-input error: malformed syntax, a -p that is not prime, a zero right slot,
-a division by zero or by a zero divisor inside an input expression, a
---let name that is not an ASCII identifier or rebinds a, b, x or y,
---precision over a rational field, or a scale --u that is zero or has y.
+input error: malformed syntax, a -p that is not prime or exceeds
+fields.MAX_PRIME (2^16), a zero right slot, a division by zero or by a
+zero divisor inside an input expression, a --let name that is not an
+ASCII identifier or rebinds a, b, x or y, --precision over a rational
+field, or a scale --u that is zero or has y.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .errors import (
 )
 from .fields import FieldDescriptor, certified_equal
 from .linkage import (
-    SymbolPresentation,
     chain_identity,
     right_to_left,
     scale_slot_by_norm,
@@ -255,8 +255,7 @@ def _cmd_decompose(args, A, values, report):
 
 
 def _cmd_identity(args, A, values, report):
-    pres = SymbolPresentation(A.alpha, A.beta, A.p, A.field)
-    new_pres, wit = chain_identity(pres)
+    new_pres, wit = chain_identity(A)
     report.results["presentation"] = str(new_pres)
     report.results["witness"] = wit.to_dict()
     left = A.alpha + A.beta
@@ -270,8 +269,7 @@ def _cmd_scale(args, A, values, report):
     u = values["u"]
     if u.is_zero() or any(j for (_, j), _ in u.support()):
         raise ValueError(f"--u must be a nonzero element of F[x], got {u}")
-    pres = SymbolPresentation(A.alpha, A.beta, A.p, A.field)
-    new_pres, wit, norm = scale_slot_by_norm(pres, u)
+    new_pres, wit, norm = scale_slot_by_norm(A, u)
     report.results["norm"] = str(norm)
     report.results["presentation"] = str(new_pres)
     report.results["witness"] = wit.to_dict()

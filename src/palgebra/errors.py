@@ -18,7 +18,7 @@ class ZeroValue(PAlgebraError):
 
 
 class InvalidPrime(PAlgebraError):
-    """The degree parameter p is not a prime number."""
+    """The degree parameter p is not a prime number, or exceeds fields.MAX_PRIME."""
 
 
 class InvalidSlot(PAlgebraError):

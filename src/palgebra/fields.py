@@ -34,6 +34,10 @@ from .errors import (
 
 INF = math.inf
 
+# the largest degree a field accepts: primality is decided by trial division,
+# and much of the engine's work is dense in p, so a larger p is refused at once
+MAX_PRIME = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # rational functions in a, b over F_p
@@ -584,6 +588,8 @@ class FieldDescriptor:
     def __post_init__(self):
         if self.kind not in ("rational", "laurent"):
             raise ValueError(f"unknown field kind {self.kind!r}")
+        if self.prime > MAX_PRIME:
+            raise InvalidPrime(f"{self.prime} exceeds the largest supported prime {MAX_PRIME}")
         if not polys.is_prime(self.prime):
             raise InvalidPrime(f"{self.prime} is not prime")
         if (self.precision is not None) != (self.kind == "laurent"):

@@ -34,9 +34,6 @@ class SymbolPresentation:
         if self.right.is_zero():
             raise InvalidSlot("the right slot must be nonzero")
 
-    def to_algebra(self) -> SymbolAlgebra:
-        return make_algebra(self.p, self.left, self.right, self.field)
-
     def __str__(self):
         return f"[{self.left}, {self.right})_{self.p}"
 
@@ -132,28 +129,27 @@ def _verify_slots(A, z, w, left, right, message):
     return witness
 
 
-def chain_identity(pres: SymbolPresentation):
-    """The presentation [left + right, right) of the same algebra, with the
+def chain_identity(A: SymbolAlgebra):
+    """The presentation [alpha + beta, beta) of A = [alpha, beta), with the
     witness pair (x + y, y)."""
-    A = pres.to_algebra()
-    witness = _verify_slots(A, A.x() + A.y(), A.y(), pres.left + pres.right, pres.right,
+    witness = _verify_slots(A, A.x() + A.y(), A.y(), A.alpha + A.beta, A.beta,
                             "chain identity produced unexpected slots")
-    new_pres = SymbolPresentation(witness.claimed_left, witness.claimed_right, pres.p, pres.field)
+    new_pres = SymbolPresentation(witness.claimed_left, witness.claimed_right, A.p, A.field)
     return new_pres, witness
 
 
-def scale_slot_by_norm(pres: SymbolPresentation, u: AlgElement):
-    """Rescale the right slot by the norm of u in F[x]: [left, N(u)*right).
+def scale_slot_by_norm(A: SymbolAlgebra, u: AlgElement):
+    """Rescale the right slot of A = [alpha, beta) by the norm of u in F[x]:
+    [alpha, N(u)*beta).
 
     Returns the new presentation, its witness and the norm N(u).  The
     witness pair is (x, u*y); u commutes with x, so u*y still shifts x by
     one under conjugation.
     """
-    A = pres.to_algebra()
     norm = A.norm_Fx(u)
-    witness = _verify_slots(A, A.x(), A.mul(u, A.y()), pres.left, norm * pres.right,
+    witness = _verify_slots(A, A.x(), A.mul(u, A.y()), A.alpha, norm * A.beta,
                             "norm scaling produced unexpected slots")
-    new_pres = SymbolPresentation(pres.left, witness.claimed_right, pres.p, pres.field)
+    new_pres = SymbolPresentation(A.alpha, witness.claimed_right, A.p, A.field)
     return new_pres, witness, norm
 
 

@@ -131,8 +131,7 @@ class ValuedAlgebra:
         if len(beta.terms) != 1 or not beta.exact:
             raise UnsupportedSlot("value group reporting needs a monomial right slot")
         p = self.algebra.p
-        rows = [(p, 0), (0, p), (self.v_y.va * p, self.v_y.vb * p)]
-        basis_int = _hermite_2col([(int(u), int(v)) for u, v in rows])
+        basis_int = _value_lattice(p, int(self.v_y.va * p), int(self.v_y.vb * p))
         basis = tuple(
             Value(Fraction(u, p), Fraction(v, p)) for u, v in basis_int
         )
@@ -143,31 +142,13 @@ class ValuedAlgebra:
         )
 
 
-def _hermite_2col(rows):
-    """Row Hermite normal form of an integer matrix with two columns,
-    returned as two basis rows [(d1, v), (0, d2)]."""
-    rows = [r for r in rows if r != (0, 0)]
-    while True:
-        nonzero_first = [r for r in rows if r[0] != 0]
-        if len(nonzero_first) <= 1:
-            break
-        nonzero_first.sort(key=lambda r: abs(r[0]))
-        (u0, v0), rest = nonzero_first[0], nonzero_first[1:]
-        new_rows = [r for r in rows if r[0] == 0] + [(u0, v0)]
-        for u, v in rest:
-            q = u // u0
-            new_rows.append((u - q * u0, v - q * v0))
-        rows = [r for r in new_rows if r != (0, 0)]
-    first = next(((u, v) for u, v in rows if u != 0), None)
-    seconds = [v for u, v in rows if u == 0 and v != 0]
-    if first is None or not seconds:
-        raise UnsupportedSlot("value lattice is degenerate")
-    d2 = math.gcd(*seconds)
-    d1, v1 = first
-    if d1 < 0:
-        d1, v1 = -d1, -v1
-    v1 %= d2
-    return [(d1, v1), (0, d2)]
+def _value_lattice(p, u, w):
+    """Row Hermite basis [(d1, v), (0, d2)] of the lattice p*Z^2 + Z*(u, w)
+    for a prime p: with u a unit mod p it is [(1, w/u mod p), (0, p)],
+    else [(p, 0), (0, gcd(p, w))]."""
+    if u % p:
+        return [(1, w * pow(u, -1, p) % p), (0, p)]
+    return [(p, 0), (0, math.gcd(p, w))]
 
 
 def _describe_lattice(basis):
@@ -190,10 +171,7 @@ class SampleRecord:
     """One sampled p-central element u*y in one of the two algebras."""
 
     algebra: str
-    u: str
-    p_power: str
     value: Value
-    fractional_coordinate: str
     coordinate_residue: int
     norm_identity_ok: bool
     residue_ok: bool
@@ -279,10 +257,7 @@ def counterexample_check(p, precision, samples, seed) -> CounterexampleReport:
             records.append(
                 SampleRecord(
                     algebra=tag,
-                    u=str(u),
-                    p_power=str(central) if central is not None else "not p-central",
                     value=v,
-                    fractional_coordinate=coord,
                     coordinate_residue=residue,
                     norm_identity_ok=norm_ok,
                     residue_ok=residue == 1,
@@ -292,8 +267,8 @@ def counterexample_check(p, precision, samples, seed) -> CounterexampleReport:
         # in [1,a) and along b in [1,b); they agree only if both residues
         # vanish, which the residue checks above exclude
         ra, rb = records[-2], records[-1]
-        lattice_a = _hermite_2col([(p, 0), (0, p), (int(ra.value.va), int(ra.value.vb))])
-        lattice_b = _hermite_2col([(p, 0), (0, p), (int(rb.value.va), int(rb.value.vb))])
+        lattice_a = _value_lattice(p, int(ra.value.va), int(ra.value.vb))
+        lattice_b = _value_lattice(p, int(rb.value.va), int(rb.value.vb))
         if lattice_a == lattice_b:
             all_distinct = False
 

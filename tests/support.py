@@ -1,8 +1,8 @@
 """Shared helpers for the test suite: the source path, the samplers, the
-per-coefficient product oracle, the dense inverse oracle and the Laurent
-expansion oracle."""
+per-coefficient product oracle, the dense inverse oracle, the Laurent
+expansion oracle and the general two-column Hermite form."""
 
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 from palgebra import NotInvertible, WitnessVerificationFailed
@@ -190,3 +190,30 @@ def laurent_expansion(c, ta, tb):
             if s % p:
                 q[(e, f)] = s * c0_inv % p
     return {m: v for m, v in q.items() if m[0] < ta}
+
+
+def hermite_2col(rows):
+    """Row Hermite normal form of an integer matrix with two columns and
+    rank 2, by Euclid on the first column: the two basis rows
+    [(d1, v), (0, d2)] with d1, d2 > 0 and 0 <= v < d2."""
+    rows = [r for r in rows if r != (0, 0)]
+    while True:
+        nonzero_first = [r for r in rows if r[0] != 0]
+        if len(nonzero_first) <= 1:
+            break
+        nonzero_first.sort(key=lambda r: abs(r[0]))
+        (u0, v0), rest = nonzero_first[0], nonzero_first[1:]
+        new_rows = [r for r in rows if r[0] == 0] + [(u0, v0)]
+        for u, v in rest:
+            q = u // u0
+            new_rows.append((u - q * u0, v - q * v0))
+        rows = [r for r in new_rows if r != (0, 0)]
+    first = next(((u, v) for u, v in rows if u != 0), None)
+    seconds = [v for u, v in rows if u == 0 and v != 0]
+    if first is None or not seconds:
+        raise ValueError("the rows span a lattice of rank below 2")
+    d2 = gcd(*seconds)
+    d1, v1 = first
+    if d1 < 0:
+        d1, v1 = -d1, -v1
+    return [(d1, v1 % d2), (0, d2)]

@@ -2,6 +2,7 @@
 inverses and the eigendecomposition."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -73,6 +74,19 @@ def test_elements_do_not_depend_on_entry_order_or_explicit_zeros():
     assert str(s) == str(t) == "2 + y + (a + 1)*x*y^2 + a*x^2*y"
     assert A.from_entries({(1, 1): 0}) == A.zero()
     assert A.from_entries({(1, 1): 0}).is_zero()
+
+
+def test_x_expansion_allocates_by_degree_not_by_p():
+    # x^1 y^1 x^1 has degree 2: a list of p slots at p = 10**6 + 3 took 8 MB
+    expand = algebra_module._x_expansion.__wrapped__
+    tracemalloc.start()
+    try:
+        terms = expand(10**6 + 3, 1, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert terms == ((1, 1, 0), (2, 1, 0))
+    assert peak < 64 * 1024
 
 
 def test_make_algebra_validates_slot_and_prime():

@@ -14,8 +14,9 @@ import pytest
 from palgebra import (
     FieldDescriptor,
     SymbolAlgebra,
-    SymbolPresentation,
+    make_algebra,
     parse_scalar,
+    polys,
     scale_slot_by_norm,
 )
 from palgebra.cli import Report, main
@@ -145,9 +146,8 @@ def test_laurent_conjugation_check_is_certified_not_textual(capsys):
     # products that differ only beyond the window print differently and
     # pass; a difference in a certified term fails
     field = FieldDescriptor("laurent", 3, 5)
-    pres = SymbolPresentation(field.one(), field.gen("a"), 3, field)
-    A = pres.to_algebra()
-    _, witness, _ = scale_slot_by_norm(pres, A.one() + field.gen("a") * A.x())
+    A = make_algebra(3, field.one(), field.gen("a"), field)
+    _, witness, _ = scale_slot_by_norm(A, A.one() + field.gen("a") * A.x())
     u = parse_scalar("1/(1+a)", field)
     remainder = u * (1 + field.gen("a")) - 1  # 0 + O(a^5)
     report = Report("scale", {})
@@ -193,6 +193,25 @@ def test_scale_computes_the_norm_once(capsys, monkeypatch):
                      "--u", "1 + a*x + x^3")
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["identity", "-p", "3", "--alpha", "a", "--beta", "b"], 1),
+    (["scale", "-p", "3", "--alpha", "a", "--beta", "b", "--u", "1 + x"], 1),
+    # right_to_left builds [alpha, beta) again, and [gamma, beta)
+    (["link", "-p", "2", "--alpha", "a", "--gamma", "a+a*b", "--beta", "b"], 3),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_algebras_built_per_call(capsys, monkeypatch, argv, built):
+    calls = []
+    init = SymbolAlgebra.__init__
+
+    def counting_init(A, *args):
+        calls.append(1)
+        init(A, *args)
+
+    monkeypatch.setattr(SymbolAlgebra, "__init__", counting_init)
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) == built
 
 
 def test_laurent_slot_with_a_non_monomial_denominator(capsys):
@@ -431,6 +450,23 @@ def test_non_prime_p_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err == f"palgebra: invalid input: InvalidPrime: {argv[2]} is not prime\n"
+
+
+@pytest.mark.parametrize("verb", ["eval", "counterexample"])
+@pytest.mark.parametrize("p", [10**18 + 3, 65537])
+def test_p_above_max_prime_exit_2_before_primality(capsys, monkeypatch, verb, p):
+    # trial division up to sqrt(10**18 + 3) does not finish: the cap is read first
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) ran past the cap")
+
+    monkeypatch.setattr(polys, "is_prime", refuse)
+    argv = [verb, "-p", str(p)]
+    if verb == "eval":
+        argv += ["--alpha", "a", "--beta", "b", "--expr", "x*y"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"palgebra: invalid input: InvalidPrime: {p} exceeds "
+                   f"the largest supported prime 65536\n")
 
 
 @pytest.mark.parametrize("argv, cause", [

@@ -20,7 +20,7 @@ from palgebra import (
     parse_scalar,
     valuation,
 )
-from palgebra.fields import INF, certified_equal
+from palgebra.fields import INF, MAX_PRIME, certified_equal
 from palgebra.sampling import random_poly_scalar
 
 from support import laurent_expansion, random_rational_function
@@ -332,6 +332,13 @@ def test_descriptor_validation():
     # a Laurent field owns only scalars of its own window
     assert not desc.owns(FieldDescriptor("laurent", 3, 8).one())
     assert not desc.owns(FieldDescriptor("laurent", 5, 6).one())
+
+
+def test_descriptor_caps_the_prime():
+    assert FieldDescriptor("rational", 65521).prime == 65521  # the largest prime below 2^16
+    for p in (MAX_PRIME + 1, 10**18 + 3):  # 65537 is prime
+        with pytest.raises(InvalidPrime, match="exceeds the largest supported prime"):
+            FieldDescriptor("laurent", p, 4)
 
 
 def test_fraction_gives_term_maps_or_none_for_a_series():

@@ -32,12 +32,12 @@ from palgebra.sampling import (
 RAT = {p: FieldDescriptor("rational", p) for p in (2, 3, 5)}
 
 
-def presentation(p, alpha=None, beta=None):
+def algebra(p, alpha=None, beta=None):
     field = RAT[p]
-    return SymbolPresentation(
+    return make_algebra(
+        p,
         alpha if alpha is not None else field.gen("a"),
         beta if beta is not None else field.gen("b"),
-        p,
         field,
     )
 
@@ -45,21 +45,21 @@ def presentation(p, alpha=None, beta=None):
 # --- verify_presentation -----------------------------------------------------
 
 def test_verify_presentation_defining_generators():
-    A = presentation(2).to_algebra()
+    A = algebra(2)
     w = verify_presentation(A, A.x(), A.y())
     assert w.claimed_left == A.alpha
     assert w.claimed_right == A.beta
 
 
 def test_verify_presentation_chain_pair():
-    A = presentation(2).to_algebra()
+    A = algebra(2)
     w = verify_presentation(A, A.x() + A.y(), A.y())
     assert w.claimed_left == A.alpha + A.beta
     assert w.claimed_right == A.beta
 
 
 def test_verify_presentation_rejects_bad_pair():
-    A = presentation(2).to_algebra()
+    A = algebra(2)
     with pytest.raises(RelationFails):
         verify_presentation(A, A.x(), A.x())
 
@@ -90,18 +90,17 @@ def test_witnesses_are_verified_without_an_inverse(monkeypatch, p):
         alpha, gamma, beta = draw_right_linked(rng, field, monomial_beta=(i % 2 == 0))
         res = right_to_left(alpha, gamma, beta, p, field)
         assert res.pres_A.left == res.pres_Aprime.left == res.common_left
-    pres = presentation(p)
-    assert chain_identity(pres)[0].left == pres.left + pres.right
-    A = pres.to_algebra()
+    A = algebra(p)
+    assert chain_identity(A)[0].left == A.alpha + A.beta
     # N(a + x) = a^p - a + alpha = a^p
-    scaled, _, _ = scale_slot_by_norm(pres, A.scalar(field.gen("a")) + A.x())
-    assert scaled.right == field.gen("a") ** p * pres.right
+    scaled, _, _ = scale_slot_by_norm(A, A.scalar(field.gen("a")) + A.x())
+    assert scaled.right == field.gen("a") ** p * A.beta
 
 
 # --- chain identity ------------------------------------------------------------
 
 def test_chain_identity_basic():
-    pres, witness = chain_identity(presentation(2))
+    pres, witness = chain_identity(algebra(2))
     assert pres.left == RAT[2].gen("a") + RAT[2].gen("b")
     assert pres.right == RAT[2].gen("b")
     assert str(witness.z) == "y + x"
@@ -109,18 +108,19 @@ def test_chain_identity_basic():
 
 def test_chain_identity_zero_left_slot():
     field = RAT[3]
-    pres, _ = chain_identity(presentation(3, alpha=field.zero()))
+    pres, _ = chain_identity(algebra(3, alpha=field.zero()))
     assert pres.left == field.gen("b")
 
 
 def test_chain_identity_cycles_after_p_steps():
     p = 3
-    pres = presentation(p)
-    seen = [pres.left]
-    for _ in range(p):
-        pres, _ = chain_identity(pres)
-        seen.append(pres.left)
     field = RAT[p]
+    A = algebra(p)
+    seen = [A.alpha]
+    for _ in range(p):
+        pres, _ = chain_identity(A)
+        seen.append(pres.left)
+        A = make_algebra(p, pres.left, pres.right, field)
     a, b = field.gen("a"), field.gen("b")
     assert seen[1] == a + b
     assert seen[2] == a + 2 * b
@@ -131,29 +131,27 @@ def test_chain_identity_cycles_after_p_steps():
 # --- norm slot scaling ------------------------------------------------------------
 
 def test_scale_slot_by_x():
-    pres = presentation(2)
-    A = pres.to_algebra()
-    new_pres, witness, norm = scale_slot_by_norm(pres, A.x())
+    A = algebra(2)
+    new_pres, witness, norm = scale_slot_by_norm(A, A.x())
     field = RAT[2]
     assert norm == field.gen("a")  # N(x) = x (x + 1) = x^2 + x = alpha
     assert new_pres.right == field.gen("a") * field.gen("b")
-    assert new_pres.left == pres.left
+    assert new_pres.left == A.alpha
     assert witness.claimed_right == new_pres.right
 
 
 def test_scale_slot_by_one_is_identity():
-    pres = presentation(5)
-    new_pres, _, _ = scale_slot_by_norm(pres, pres.to_algebra().one())
-    assert new_pres == pres
+    A = algebra(5)
+    new_pres, _, _ = scale_slot_by_norm(A, A.one())
+    assert new_pres == SymbolPresentation(A.alpha, A.beta, 5, RAT[5])
 
 
 def test_scale_slot_by_lambda_plus_x():
     # N(a + x) = a^2 - a + a = a^2 at p = 2
-    pres = presentation(2)
-    A = pres.to_algebra()
+    A = algebra(2)
     field = RAT[2]
     u = A.scalar(field.gen("a")) + A.x()
-    new_pres, witness, _ = scale_slot_by_norm(pres, u)
+    new_pres, witness, _ = scale_slot_by_norm(A, u)
     assert new_pres.right == parse_scalar("a^2*b", field)
     # cross-check via the engine power
     w = A.mul(u, A.y())
@@ -162,28 +160,27 @@ def test_scale_slot_by_lambda_plus_x():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_scale_slot_composes(p):
-    pres = presentation(p)
+    A1 = algebra(p)
     rng = random.Random(500 + p)
     for _ in range(4):
-        A1 = pres.to_algebra()
         u = random_fx_element(rng, A1)
         if A1.norm_Fx(u).is_zero():
             continue
         n_u = A1.norm_Fx(u)
-        mid, _, _ = scale_slot_by_norm(pres, u)
-        A2 = mid.to_algebra()
+        mid, _, _ = scale_slot_by_norm(A1, u)
+        A2 = make_algebra(p, mid.left, mid.right, RAT[p])
         v = random_fx_element(rng, A2)
         if A2.norm_Fx(v).is_zero():
             continue
         n_v = A2.norm_Fx(v)
-        out, _, _ = scale_slot_by_norm(mid, v)
-        assert out.right == n_v * n_u * pres.right
+        out, _, _ = scale_slot_by_norm(A2, v)
+        assert out.right == n_v * n_u * A1.beta
 
 
 # --- the additivity identity ---------------------------------------------------------
 
 def test_verify_lemma_p3_y_squared():
-    A = presentation(3).to_algebra()
+    A = algebra(3)
     rep = verify_lemma(A, A.x(), A.power(A.y(), 2))
     assert rep.k == 2 and rep.m == 2
     field = RAT[3]
@@ -192,7 +189,7 @@ def test_verify_lemma_p3_y_squared():
 
 
 def test_verify_lemma_p2_basic():
-    A = presentation(2).to_algebra()
+    A = algebra(2)
     rep = verify_lemma(A, A.x(), A.y())
     assert rep.k == 1
     field = RAT[2]
@@ -201,14 +198,14 @@ def test_verify_lemma_p2_basic():
 
 
 def test_verify_lemma_hypothesis_fails():
-    A = presentation(2).to_algebra()
+    A = algebra(2)
     with pytest.raises(HypothesisFails):
         verify_lemma(A, A.x(), A.x())
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_verify_lemma_structured_family(p):
-    A = presentation(p).to_algebra()
+    A = algebra(p)
     rng = random.Random(700 + p)
     checked = 0
     while checked < 2 * (p - 1):

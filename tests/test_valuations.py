@@ -15,9 +15,9 @@ from palgebra import (
     counterexample_check,
     make_algebra,
 )
-from palgebra.valuations import ResiduePoly, _hermite_2col
+from palgebra.valuations import ResiduePoly, _value_lattice
 
-from support import random_element
+from support import hermite_2col, random_element
 
 
 def laurent_field(p, precision=8):
@@ -199,9 +199,16 @@ def test_valued_algebra_requires_unit_left_slot():
 
 
 def test_hermite_form():
-    assert _hermite_2col([(2, 0), (0, 2), (1, 0)]) == [(1, 0), (0, 2)]
-    assert _hermite_2col([(2, 0), (0, 2), (0, 1)]) == [(2, 0), (0, 1)]
-    assert _hermite_2col([(2, 0), (0, 2), (1, 1)]) == [(1, 1), (0, 2)]
+    assert _value_lattice(2, 1, 0) == [(1, 0), (0, 2)]
+    assert _value_lattice(2, 0, 1) == [(2, 0), (0, 1)]
+    assert _value_lattice(2, 1, 1) == [(1, 1), (0, 2)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_value_lattice_matches_the_general_hermite_form(p):
+    for u in range(-40, 41):
+        for w in range(-40, 41):
+            assert _value_lattice(p, u, w) == hermite_2col([(p, 0), (0, p), (u, w)]), (u, w)
 
 
 # --- the family check ----------------------------------------------------------------
