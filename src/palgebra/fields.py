@@ -384,10 +384,10 @@ class LaurentScalar:
             if self.exact:
                 raise DivisionByZero("inverting zero Laurent scalar")
             raise PrecisionExhausted("window too small to find a leading term")
-        j0 = min(eb for _, eb in self.terms)
-        if self.lb != j0:
+        lead = _certified_leading(self)
+        if lead is None:
             raise PrecisionExhausted("leading b-level is not certified")
-        k0 = min(ea for ea, eb in self.terms if eb == j0)
+        k0, j0 = lead
         c0 = self.terms[(k0, j0)]
         m_inv = LaurentScalar(p, prec, {(-k0, -j0): polys.inv_mod(c0, p)})
         w = self * m_inv - 1
@@ -553,11 +553,22 @@ def valuation(c):
         if c.exact:
             raise ZeroValue("the zero scalar has no value")
         raise PrecisionExhausted("window too small to locate a leading term")
-    eb_min = min(eb for _, eb in c.terms)
-    if c.ha != INF and c.lb != eb_min:
+    lead = _certified_leading(c)
+    if lead is None:
         raise PrecisionExhausted("leading term is not certified by the window")
-    ea_min = min(ea for ea, eb in c.terms if eb == eb_min)
-    return Value.of(ea_min, eb_min)
+    return Value.of(*lead)
+
+
+def _certified_leading(c):
+    """Exponents (ea, eb) of the b-dominant leading stored term of a Laurent
+    scalar with stored terms, or None when the window does not certify it
+    as the true leading term.  With ha infinite every term of a stored
+    b-level is stored, so the lowest stored level leads; otherwise the
+    support's lower bound lb must reach that level."""
+    eb_min = min(map(_second, c.terms))
+    if c.ha != INF and c.lb != eb_min:
+        return None
+    return min(ea for ea, eb in c.terms if eb == eb_min), eb_min
 
 
 def frobenius(c):

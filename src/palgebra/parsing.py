@@ -19,7 +19,7 @@ a power.  Parentheses and unary minus together may nest at most
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass
 
 from .algebra import AlgElement
@@ -33,10 +33,10 @@ class Token:
     pos: int
 
 
-_OPS = set("+-*/^()")
-_DIGITS = frozenset(string.digits)
-_NAME_START = frozenset(string.ascii_letters + "_")
-_NAME_CHARS = _NAME_START | _DIGITS
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# whitespace, which is skipped, or one token whose kind is the name of the
+# group that matched
+_TOKEN = re.compile(rf"(?P<SPACE>\s+)|(?P<INT>[0-9]+)|(?P<NAME>{_NAME.pattern})|(?P<OP>[-+*/^()])")
 
 # Each level of nesting costs the parser a few Python frames; this bound
 # keeps the deepest accepted expression well inside the recursion limit.
@@ -54,29 +54,12 @@ def tokenize(text):
     that rejects its input stops reading it there."""
     i, n = 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            yield Token("INT", text[i:j], i)
-            i = j
-            continue
-        if ch in _NAME_START:
-            j = i
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
-            yield Token("NAME", text[i:j], i)
-            i = j
-            continue
-        if ch in _OPS:
-            yield Token("OP", ch, i)
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+        m = _TOKEN.match(text, i)
+        if m is None:
+            raise ExprSyntaxError(f"unexpected character {text[i]!r}", i)
+        if m.lastgroup != "SPACE":
+            yield Token(m.lastgroup, m.group(), i)
+        i = m.end()
     yield Token("END", "", n)
 
 
@@ -90,7 +73,7 @@ def _degree(value):
 
 def is_name(text):
     """Whether text reads as one NAME token, an ASCII identifier."""
-    return text[:1] in _NAME_START and all(ch in _NAME_CHARS for ch in text)
+    return _NAME.fullmatch(text) is not None
 
 
 class _Parser:

@@ -1,19 +1,22 @@
-"""Sparse polynomial kernels over the prime fields F_p.
+"""Polynomial kernels over the prime fields F_p.
 
-Two raw representations are used internally:
+Polynomials in the indeterminates a and b are sparse dicts mapping
+(ea, eb) -> coefficient in {1, ..., p-1}, with {} for zero.  The gcd
+works recursively in b over F_p[a]: there a polynomial is a dict mapping
+eb -> its coefficient in F_p[a], and each coefficient is a dense list,
+lowest degree first, with no trailing zero and [] for zero.  Only
+``_to_rec`` and ``_from_rec`` convert between the two.
 
-* univariate: dict mapping exponent -> coefficient in {1, ..., p-1},
-  with {} for the zero polynomial;
-* bivariate: dict mapping (ea, eb) -> coefficient, same convention,
-  for polynomials in the indeterminates a and b.
-
-``p_add``, ``p_neg`` and ``p_scale`` never look inside a key, so they
-serve both representations.  All functions are pure. Monomial comparisons
-use graded lexicographic order with a ranked above b; gcds are returned
-monic with respect to that order so that canonical forms are unique.
+All functions are pure. Monomial comparisons use graded lexicographic
+order with a ranked above b; gcds are returned monic with respect to that
+order so that canonical forms are unique.
 """
 
 from __future__ import annotations
+
+from array import array
+from itertools import zip_longest
+from sys import byteorder
 
 
 def is_prime(n: int) -> bool:
@@ -45,74 +48,58 @@ def power(base, n, one, mul):
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers (used by the bivariate gcd, recursive in b over F_p[a])
+# univariate layer (used by the bivariate gcd, recursive in b over F_p[a])
 # ---------------------------------------------------------------------------
 
 def u_mul(f, g, p):
     if not f or not g:
-        return {}
-    if len(f) == 1:
-        (e1, c1), = f.items()
-        return {e1 + e2: (c1 * c2) % p for e2, c2 in g.items() if (c1 * c2) % p}
-    if len(g) == 1:
-        (e2, c2), = g.items()
-        return {e1 + e2: (c1 * c2) % p for e1, c1 in f.items() if (c1 * c2) % p}
-    if len(f) * len(g) <= 16:
-        out = {}
-        for e1, c1 in f.items():
-            for e2, c2 in g.items():
-                e = e1 + e2
-                s = (out.get(e, 0) + c1 * c2) % p
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return out
-    # Kronecker substitution: pack coefficients into one big integer per
-    # operand with enough headroom, multiply, unpack mod p
-    shift = (p * p * (min(len(f), len(g)) + 1)).bit_length()
-    fi = 0
-    for e, c in f.items():
-        fi |= c << (e * shift)
-    gi = 0
-    for e, c in g.items():
-        gi |= c << (e * shift)
-    prod = fi * gi
-    mask = (1 << shift) - 1
-    out = {}
-    e = 0
-    while prod:
-        c = (prod & mask) % p
-        if c:
-            out[e] = c
-        prod >>= shift
-        e += 1
+        return []
+    if g.count(0) == len(g) - 1:
+        f, g = g, f
+    if f.count(0) == len(f) - 1:
+        # one term c*t^e: a shift and a scaling
+        c = f[-1]
+        return [0] * (len(f) - 1) + [(c * k) % p for k in g]
+    # Kronecker substitution: each operand becomes one integer, a slot of
+    # 1, 2, 4 or 8 bytes per coefficient, wide enough for a coefficient of
+    # the product before reduction (below 2^64, as p <= fields.MAX_PRIME);
+    # one multiplication, then each slot is read back mod p
+    code = "BHIIQQQQ"[(((p - 1) * (p - 1) * min(len(f), len(g))).bit_length() - 1) // 8]
+    prod = int.from_bytes(array(code, f), byteorder) * int.from_bytes(array(code, g), byteorder)
+    slots = prod.to_bytes((len(f) + len(g) - 1) * array(code).itemsize, byteorder)
+    return [c % p for c in memoryview(slots).cast(code)]
+
+
+def u_sub(f, g, p):
+    out = [(c - k) % p for c, k in zip_longest(f, g, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
     return out
 
 
 def u_divmod(f, g, p):
+    """Quotient and remainder of f by g; the remainder's entries are
+    reduced mod p only where they are read."""
     if not g:
         raise ZeroDivisionError("univariate division by zero")
-    if not f:
-        return {}, {}
-    df, dg = max(f), max(g)
-    if df < dg:
-        return {}, dict(f)
-    r = [0] * (df + 1)
-    for e, c in f.items():
-        r[e] = c
-    gitems = list(g.items())
+    dg = len(g) - 1
+    if len(f) <= dg:
+        return [], f
     inv_lc = inv_mod(g[dg], p)
-    q = {}
-    for k in range(df - dg, -1, -1):
-        c = r[k + dg]
+    low = [(e, c) for e, c in enumerate(g[:dg]) if c]
+    r = f[:]
+    q = [0] * (len(f) - dg)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + dg] % p
         if c:
             c = (c * inv_lc) % p
             q[k] = c
-            for e, gc in gitems:
-                r[e + k] = (r[e + k] - c * gc) % p
-    rem = {e: c for e, c in enumerate(r[:dg]) if c}
-    return q, rem
+            for e, gc in low:
+                r[e + k] -= c * gc
+    r = [c % p for c in r[:dg]]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
 
 
 def u_div_exact(f, g, p):
@@ -122,37 +109,14 @@ def u_div_exact(f, g, p):
     return q
 
 
-def _dense_rem(a, b, p):
-    """Remainder of dense coefficient lists (trailing entry nonzero)."""
-    db = len(b) - 1
-    inv_lc = inv_mod(b[db], p)
-    a = a[:]
-    for k in range(len(a) - 1 - db, -1, -1):
-        c = a[k + db]
-        if c:
-            c = (c * inv_lc) % p
-            for e in range(db):
-                if b[e]:
-                    a[e + k] = (a[e + k] - c * b[e]) % p
-            a[k + db] = 0
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def u_gcd(f, g, p):
-    a = [0] * (max(f) + 1) if f else []
-    for e, c in f.items():
-        a[e] = c
-    b = [0] * (max(g) + 1) if g else []
-    for e, c in g.items():
-        b[e] = c
-    while b:
-        a, b = b, _dense_rem(a, b, p)
-    if not a:
-        return {}
-    inv = inv_mod(a[-1], p)
-    return {e: (c * inv) % p for e, c in enumerate(a) if c}
+    """Monic gcd by the Euclidean algorithm."""
+    while g:
+        f, g = g, u_divmod(f, g, p)[1]
+    if not f:
+        return []
+    inv = inv_mod(f[-1], p)
+    return [(c * inv) % p for c in f]
 
 
 # ---------------------------------------------------------------------------
@@ -254,51 +218,46 @@ def p_is_one(f):
     return f == P_ONE
 
 
-# recursive view: dict b-exponent -> univariate poly in a
+# recursive view: dict b-exponent -> dense list in a
 
 def _to_rec(f):
     rec = {}
     for (ea, eb), c in f.items():
-        rec.setdefault(eb, {})[ea] = c
+        ua = rec.setdefault(eb, [])
+        if len(ua) <= ea:
+            ua.extend([0] * (ea + 1 - len(ua)))
+        ua[ea] = c
     return rec
 
 
 def _from_rec(rec):
-    out = {}
-    for eb, ua in rec.items():
-        for ea, c in ua.items():
-            out[(ea, eb)] = c
-    return out
+    return {(ea, eb): c for eb, ua in rec.items() for ea, c in enumerate(ua) if c}
 
 
 def _rec_content(rec, p):
-    g = {}
+    g = []
     for ua in rec.values():
         g = u_gcd(g, ua, p)
-        if g == {0: 1}:
+        if g == [1]:
             break
     return g
 
 
 def _rec_quo_content(rec, cont, p):
-    if cont == {0: 1}:
+    if cont == [1]:
         return rec
     return {eb: u_div_exact(ua, cont, p) for eb, ua in rec.items()}
 
 
 def _rec_scale(rec, u, p):
-    out = {}
-    for eb, ua in rec.items():
-        prod = u_mul(ua, u, p)
-        if prod:
-            out[eb] = prod
-    return out
+    # u != 0, so no coefficient vanishes
+    return {eb: u_mul(ua, u, p) for eb, ua in rec.items()}
 
 
 def _rec_sub(f, g, p):
     out = dict(f)
     for eb, ua in g.items():
-        s = p_add(out.get(eb, {}), p_neg(ua, p), p)
+        s = u_sub(out.get(eb, []), ua, p)
         if s:
             out[eb] = s
         else:
@@ -307,7 +266,7 @@ def _rec_sub(f, g, p):
 
 
 def _u_pow(f, n, p):
-    return power(f, n, {0: 1}, lambda g, h: u_mul(g, h, p))
+    return power(f, n, [1], lambda g, h: u_mul(g, h, p))
 
 
 def _prem_b(F, G, p):
@@ -331,15 +290,15 @@ def _prem_b(F, G, p):
 def _subresultant_gcd(F, G, p):
     """Gcd of primitive F, G in F_p[a][b] (recursive dicts, deg_b F >= deg_b G
     >= 1) up to content, via the subresultant pseudo-remainder sequence."""
-    g = {0: 1}
-    h = {0: 1}
+    g = [1]
+    h = [1]
     while True:
         delta = max(F) - max(G)
         R = _prem_b(F, G, p)
         if not R:
             return G
         if max(R) == 0:
-            return {0: {0: 1}}
+            return {0: [1]}
         divisor = u_mul(g, _u_pow(h, delta, p), p)
         F, G = G, {eb: u_div_exact(ua, divisor, p) for eb, ua in R.items()}
         g = F[max(F)]

@@ -109,6 +109,15 @@ def test_laurent_field_eval(capsys):
     assert "1 + b + b^2 + b^3 + O(b^4)" in out
 
 
+def test_laurent_let_inverts_a_scalar_with_an_exact_a_axis(capsys):
+    # 1/(1+b) - 1 stores every a-term of its b-levels: its leading term -b
+    # is certified, so the scalar inverse -(1+b)/b is decided
+    code, out, _ = run(capsys, "eval", "-p", "3", "--field", "laurent", "--alpha", "a",
+                       "--beta", "b", "--let", "u=1/(1/(1+b) - 1)", "--expr", "u*x")
+    assert code == 0
+    assert "normal_form = ((2 + 2*b)/b + O(b^6))*x" in out
+
+
 # --- json output -----------------------------------------------------------------------
 
 def test_json_output_matches_text_fields(capsys):

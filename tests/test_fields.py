@@ -246,6 +246,22 @@ def test_series_inverse_through_a_term_of_negative_a_exponent(p, window, text, h
     assert approx.terms == laurent_expansion(parse_scalar(text, rat), ha, hb)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("text", [
+    "1/(1+b) - 1", "b/(1+b)", "1/(1+b) - 1 + b^2", "(1+b)^2/(1+b^3) - 1",
+])
+def test_inverse_reads_the_leading_term_as_valuation_does(p, text):
+    # these scalars store every a-term of their b-levels (ha infinite); all
+    # but b/(1+b) have lb below the lowest stored level, where valuation
+    # certified the leading term and inverse once raised on it
+    rat = FieldDescriptor("rational", p)
+    approx = parse_scalar(text, LAU[p])
+    assert approx.ha == INF
+    inv = approx.inverse()
+    assert valuation(inv) == Value.of(0, 0) - valuation(approx)
+    assert inv.terms == laurent_expansion(1 / parse_scalar(text, rat), 40, inv.hb)
+
+
 def test_laurent_zero_division_and_precision_errors():
     field = LAU[2]
     one = field.one()

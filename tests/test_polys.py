@@ -136,7 +136,79 @@ def test_format_poly_grlex_order():
 
 def test_univariate_gcd_monic():
     p = 5
-    f = {0: 2, 1: 2}  # 2 + 2t
-    g = {0: 4, 2: 4}  # 4 + 4t^2 = 4(1+t)(1+...)? over F_5: 4(t^2+1)
+    f = [2, 2]  # 2 + 2t
+    g = [4, 0, 4]  # 4 + 4t^2
     d = polys.u_gcd(f, g, p)
-    assert d and d[max(d)] == 1
+    assert d and d[-1] == 1
+
+
+# univariate kernels on dense lists, lowest degree first, [] for zero
+
+T = sympy.symbols("t")
+
+
+def u_to_sympy(f, p):
+    return sympy.Poly(list(reversed(f)) or [0], T, modulus=p)
+
+
+def u_from_sympy(poly, p):
+    return [int(c) % p for c in reversed(poly.all_coeffs())] if not poly.is_zero else []
+
+
+def random_dense(rng, p, terms, max_deg):
+    """A dense list with up to ``terms`` nonzero coefficients of degree at
+    most ``max_deg``, no trailing zero."""
+    f = [0] * (max_deg + 1)
+    for e in rng.sample(range(max_deg + 1), min(terms, max_deg + 1)):
+        f[e] = rng.randrange(p)
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+# (terms, max degree) per operand: zero, constants, single terms, dense
+# operands of a dozen coefficients (10 x 12 terms) and sparse ones
+U_SHAPES = [((0, 0), (3, 4)), ((1, 0), (4, 5)), ((1, 6), (5, 7)), ((1, 3), (1, 9)),
+            ((2, 5), (3, 3)), ((10, 9), (12, 11)), ((4, 14), (6, 20))]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 53])
+def test_univariate_kernels_match_sympy(p):
+    rng = random.Random(5000 + p)
+    for (tf, df), (tg, dg) in U_SHAPES * 6:
+        f, g = random_dense(rng, p, tf, df), random_dense(rng, p, tg, dg)
+        for x, y in ((f, g), (g, f)):
+            assert polys.u_mul(x, y, p) == u_from_sympy(u_to_sympy(x, p) * u_to_sympy(y, p), p)
+            assert polys.u_gcd(x, y, p) == u_from_sympy(
+                sympy.gcd(u_to_sympy(x, p), u_to_sympy(y, p)).monic(), p
+            )
+            if y:
+                q, r = polys.u_divmod(x, y, p)
+                sq, sr = sympy.div(u_to_sympy(x, p), u_to_sympy(y, p))
+                assert (q, r) == (u_from_sympy(sq, p), u_from_sympy(sr, p))
+                assert polys.u_div_exact(polys.u_mul(x, y, p), y, p) == x
+                if r:
+                    with pytest.raises(ArithmeticError):
+                        polys.u_div_exact(x, y, p)
+    with pytest.raises(ZeroDivisionError):
+        polys.u_divmod([1], [], p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_gcd_and_div_exact_match_sympy_at_high_a_degree(p):
+    # a-degree up to 12 and up to 8 terms per factor, so the univariate
+    # products and divisions see operands of a dozen coefficients
+    rng = random.Random(6000 + p)
+    for _ in range(20):
+        f, g, h = ({(rng.randint(0, 12), rng.randint(0, 2)): rng.randrange(1, p)
+                    for _ in range(rng.randint(1, 8))} for _ in range(3))
+        fh, gh = polys.p_mul(f, h, p), polys.p_mul(g, h, p)
+        ours = polys.p_gcd(fh, gh, p)
+        # sympy recurses in its first generator: b, of low degree, is fast
+        theirs = sympy.gcd(
+            sympy.Poly(to_sympy(fh).as_expr(), B, A, modulus=p),
+            sympy.Poly(to_sympy(gh).as_expr(), B, A, modulus=p),
+        )
+        assert ours == polys.p_monic(from_sympy(sympy.Poly(theirs.as_expr(), A, B), p), p)
+        assert polys.p_mul(polys.p_div_exact(fh, ours, p), ours, p) == fh
+        assert polys.p_div_exact(fh, h, p) == f
