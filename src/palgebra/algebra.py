@@ -312,7 +312,10 @@ class SymbolAlgebra:
         the earlier rows in the order they were added.  A row's pivot is its
         smallest monomial with a certified coefficient; the row is kept
         undivided beside its pivot value and divided only where a later
-        power meets the pivot.  A row with entries but no certified one
+        power meets the pivot.  That reduction makes the later power's entry
+        at the pivot exactly zero, so the entry is dropped, not computed:
+        over a Laurent field the computed difference would keep an
+        uncertified residue.  A row with entries but no certified one
         raises PrecisionExhausted.  A nonzero constant term inverts t, a
         zero constant term hands back the dependency tail as a zero-divisor
         witness.  The result is verified by multiplication on both sides.
@@ -320,17 +323,20 @@ class SymbolAlgebra:
         self._check(t)
         p = self.p
         zero, one = self._zero, self._one
-        basis = []  # (pivot, pivot value, row, history), row = sum(history[m] * t^m)
+        # (pivot, pivot value, row without its pivot entry, history), where the
+        # whole row is sum(history[m] * t^m)
+        basis = []
         powers = [self.one()]
         for k in range(p + 1):
             if k:
                 powers.append(self.mul(powers[-1], t))
             row = dict(powers[k].entries)
             hist = [one if m == k else zero for m in range(p + 1)]
-            # each basis row vanishes at the pivots of the rows before it, so
-            # one pass in insertion order clears every pivot
+            # each basis row is stored without its pivot entry and vanishes at
+            # the pivots of the rows before it, so one pass in insertion order
+            # clears every pivot: the row's entry there is dropped, not computed
             for piv, pval, brow, bhist in basis:
-                f = row.get(piv)
+                f = row.pop(piv, None)
                 if f is not None and not f._surely_zero():
                     q = -(f / pval)
                     for ij, c in brow.items():
@@ -344,7 +350,7 @@ class SymbolAlgebra:
             if not certified:
                 raise PrecisionExhausted("window too small to find a pivot")
             piv = min(certified)
-            basis.append((piv, row[piv], row, hist))
+            basis.append((piv, row.pop(piv), row, hist))
         raise WitnessVerificationFailed("powers 1..t^p were independent")
 
     def _resolve_dependency(self, t, powers, coeffs):

@@ -380,14 +380,7 @@ class LaurentScalar:
 
     def inverse(self):
         p, prec = self.p, self.prec
-        if not self.terms:
-            if self.exact:
-                raise DivisionByZero("inverting zero Laurent scalar")
-            raise PrecisionExhausted("window too small to find a leading term")
-        lead = _certified_leading(self)
-        if lead is None:
-            raise PrecisionExhausted("leading b-level is not certified")
-        k0, j0 = lead
+        k0, j0 = _certified_leading(self, DivisionByZero("inverting zero Laurent scalar"))
         c0 = self.terms[(k0, j0)]
         m_inv = LaurentScalar(p, prec, {(-k0, -j0): polys.inv_mod(c0, p)})
         w = self * m_inv - 1
@@ -549,25 +542,23 @@ def valuation(c):
     """
     if not isinstance(c, LaurentScalar):
         raise TypeError("valuation is defined for Laurent scalars")
+    return Value.of(*_certified_leading(c, ZeroValue("the zero scalar has no value")))
+
+
+def _certified_leading(c, zero):
+    """Exponents (ea, eb) of the b-dominant leading term of a Laurent
+    scalar, certified by its window; raises ``zero`` when the scalar is
+    exactly zero and PrecisionExhausted when the window stores no term or
+    does not certify the leading stored one.  With ha infinite every term
+    of a stored b-level is stored, so the lowest stored level leads;
+    otherwise the support's lower bound lb must reach that level."""
     if not c.terms:
         if c.exact:
-            raise ZeroValue("the zero scalar has no value")
-        raise PrecisionExhausted("window too small to locate a leading term")
-    lead = _certified_leading(c)
-    if lead is None:
-        raise PrecisionExhausted("leading term is not certified by the window")
-    return Value.of(*lead)
-
-
-def _certified_leading(c):
-    """Exponents (ea, eb) of the b-dominant leading stored term of a Laurent
-    scalar with stored terms, or None when the window does not certify it
-    as the true leading term.  With ha infinite every term of a stored
-    b-level is stored, so the lowest stored level leads; otherwise the
-    support's lower bound lb must reach that level."""
+            raise zero
+        raise PrecisionExhausted("window too small to find a leading term")
     eb_min = min(map(_second, c.terms))
     if c.ha != INF and c.lb != eb_min:
-        return None
+        raise PrecisionExhausted("leading term is not certified by the window")
     return min(ea for ea, eb in c.terms if eb == eb_min), eb_min
 
 

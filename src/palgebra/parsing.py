@@ -13,8 +13,9 @@ Scalar expressions know the names ``a`` and ``b``; element expressions add
 may be supplied through an environment of let-bindings.  Exponents are
 nonnegative integers of at most ``MAX_EXPONENT``, and so is each power's
 exponent times its base's total degree in a and b, which bounds a power of
-a power.  Parentheses and unary minus together may nest at most
-``MAX_NESTING`` deep.  Input past any of these bounds is a syntax error.
+a power, and so is the sum of the degrees of a product's or quotient's two
+operands, which bounds a chain of products.  Parentheses and unary minus
+together may nest at most ``MAX_NESTING`` deep.  Input past any of these bounds is a syntax error.
 """
 
 from __future__ import annotations
@@ -128,6 +129,9 @@ class _Parser:
             if tok.kind == "OP" and tok.text in "*/":
                 self.advance()
                 rhs = self.factor()
+                degree = _degree(value) + _degree(rhs)
+                if degree > MAX_EXPONENT:
+                    raise ExprSyntaxError(f"product of degree {degree} is larger than {MAX_EXPONENT}", tok.pos)
                 value = value * rhs if tok.text == "*" else value / rhs
             else:
                 return value

@@ -76,25 +76,22 @@ class ValueGroupReport:
 class ValuedAlgebra:
     """A symbol algebra over F_p((a))((b)) carrying its Gauss valuation."""
 
-    __slots__ = ("algebra", "v_y", "unramified_x")
+    __slots__ = ("algebra", "v_y")
 
     def __init__(self, algebra: SymbolAlgebra):
         if algebra.field.kind != "laurent":
             raise UnsupportedSlot("valuations need a Laurent base field")
         beta_val = valuation(algebra.beta)
-        if beta_val.va.denominator != 1 or beta_val.vb.denominator != 1:
-            raise UnsupportedSlot("the right slot must have an integral value")
         if beta_val.va % algebra.p == 0 and beta_val.vb % algebra.p == 0:
             raise UnsupportedSlot("v(beta) is divisible by p; cosets of j*v(y) collapse")
         self.algebra = algebra
         self.v_y = beta_val.divided_by(algebra.p)
-        alpha = algebra.alpha
+        # a value (0, 0) is a certified leading term a^0 b^0: a nonzero residue
         try:
-            alpha_unit = valuation(alpha) == Value.of(0, 0)
+            alpha_unit = valuation(algebra.alpha) == Value.of(0, 0)
         except ZeroValue:
             alpha_unit = False
-        self.unramified_x = alpha_unit and alpha.coefficient(0, 0) != 0
-        if not self.unramified_x:
+        if not alpha_unit:
             raise UnsupportedSlot(
                 "the left slot must be a unit with nonzero residue (unramified x)"
             )

@@ -731,6 +731,17 @@ def test_laurent_inverse_of_general_elements_is_certified_or_undecided(p):
     assert decided >= {2: 60, 3: 40, 5: 2}[p]
 
 
+@pytest.mark.parametrize("text", ["1/(1+a)", "1/(1/(1+b) - 1)"])
+def test_laurent_element_inverse_of_a_scalar_is_the_scalar_inverse(text):
+    # the reduction drops the pivot entry it clears; computing it as
+    # f - (f / pval) * pval left an uncertified residue there, and the
+    # inverse of 1/(1+a) raised PrecisionExhausted where c.inverse() did not
+    lau = FieldDescriptor("laurent", 3, 8)
+    A = make_algebra(3, lau.gen("a"), lau.gen("b"), lau)
+    c = parse_scalar(text, lau)
+    assert A.inverse(A.scalar(c)) == A.scalar(c.inverse())
+
+
 def test_laurent_inverse_must_certify_its_constant_term():
     # at windows 1 and 2 the constant coefficient of a check product has a
     # window that ends before a^0 b^0, and the comparison with 1 on certified

@@ -118,6 +118,18 @@ def test_laurent_let_inverts_a_scalar_with_an_exact_a_axis(capsys):
     assert "normal_form = ((2 + 2*b)/b + O(b^6))*x" in out
 
 
+@pytest.mark.parametrize("expr", ["1/(1/(1+a))", "1/(1/(1+b) - 1)"])
+def test_laurent_element_inverse_of_a_scalar_matches_the_scalar_route(capsys, expr):
+    # the outer / inverts the element A.scalar(c); it once left an
+    # uncertified residue at its pivot and exhausted the window, while the
+    # let-bound scalar inverse of the same value was decided
+    common = ("eval", "-p", "3", "--field", "laurent", "--alpha", "a", "--beta", "b")
+    code, out, _ = run(capsys, *common, "--expr", expr)
+    code_let, out_let, _ = run(capsys, *common, "--let", f"u={expr}", "--expr", "u")
+    assert code == code_let == 0
+    assert out.replace(f"input expr = {expr}", "input expr = u") == out_let
+
+
 # --- json output -----------------------------------------------------------------------
 
 def test_json_output_matches_text_fields(capsys):

@@ -274,6 +274,19 @@ def test_laurent_zero_division_and_precision_errors():
         valuation(foggy)
 
 
+@pytest.mark.parametrize("scalar", [
+    LaurentScalar(3, 8, {}, ha=4, hb=4),  # no stored term
+    LaurentScalar(3, 8, {(0, 1): 1}, ha=4, hb=8, la=0, lb=0),  # b^1 leads only if lb = 1
+])
+def test_valuation_and_inverse_share_one_leading_term_check(scalar):
+    # one check decides the leading term for both, with one message each case
+    with pytest.raises(PrecisionExhausted) as by_valuation:
+        valuation(scalar)
+    with pytest.raises(PrecisionExhausted) as by_inverse:
+        scalar.inverse()
+    assert str(by_valuation.value) == str(by_inverse.value)
+
+
 # --- scalar valuation ---------------------------------------------------------
 
 def test_valuation_monomials():

@@ -138,6 +138,24 @@ def test_power_of_a_power_is_bounded_by_its_degree():
         parse_element("(x + (1+a+b)^20*y)^10", A)
 
 
+def test_product_is_bounded_by_the_degrees_of_its_operands():
+    # q*q*...*q with ten factors is (1+a+b)^200, the work q^10 is refused
+    # for; a quotient's operands are bounded the same way
+    q = parse_scalar("(1+a+b)^20", RAT5)
+    text = "q*q*q*q*q*q"
+    with pytest.raises(ExprSyntaxError, match="product of degree 120 is larger than") as exc:
+        parse_scalar(text, RAT5, {"q": q})
+    assert exc.value.position == text.rindex("*")
+    with pytest.raises(ExprSyntaxError, match="product of degree 110 is larger than"):
+        parse_scalar("(1+a)^60/(1+b)^50", RAT5)
+    n = MAX_EXPONENT // 2
+    s = 1 + RAT5.gen("a") + RAT5.gen("b")
+    assert parse_scalar(f"(1+a+b)^{n}*(1+a+b)^{n}", RAT5) == s ** (2 * n)
+    A = make_algebra(2, RAT2.gen("a"), RAT2.gen("b"), RAT2)
+    with pytest.raises(ExprSyntaxError, match="product of degree 110 is larger than"):
+        parse_element("(1+a)^60*x*(1+b)^50", A)
+
+
 def test_unary_minus_and_integers():
     f = parse_scalar("-a + 7", RAT5)
     assert f == RAT5.from_int(2) - RAT5.gen("a")

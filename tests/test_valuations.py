@@ -196,6 +196,10 @@ def test_valued_algebra_requires_unit_left_slot():
     A = make_algebra(2, field.gen("a"), field.gen("b"), field)
     with pytest.raises(UnsupportedSlot):
         ValuedAlgebra(A)
+    # a zero left slot has no value at all
+    A = make_algebra(2, field.zero(), field.gen("a"), field)
+    with pytest.raises(UnsupportedSlot):
+        ValuedAlgebra(A)
 
 
 def test_hermite_form():
