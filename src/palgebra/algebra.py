@@ -38,6 +38,10 @@ monomial and whole constant, with one scalar product per term pair and
 per group, whose windows the scalars track; that loop is the only place
 a product does scalar arithmetic, and the only place whole constants are
 built.
+
+Inverses need no elimination: t * tail is a scalar for a polynomial tail
+in t read off the reduced characteristic polynomial, whose coefficients
+come from reduced traces (SymbolAlgebra.inverse).
 """
 
 from __future__ import annotations
@@ -288,7 +292,8 @@ class SymbolAlgebra:
         frac = n and self._fractions is not None and _over_common_denominator(t.entries, self.p)
         if not frac or n > 5 and not polys.p_is_one(self._factors[0][0]):
             return polys.power(t, n, self.one(), self.mul)
-        num, den = polys.power(frac, n - 1, frac, self._mul_terms)
+        # n >= 1 here, so the chain never reads an identity
+        num, den = polys.power(frac, n, None, self._mul_terms)
         from_terms = self.field.from_terms
         return AlgElement(self, {ij: from_terms(c, den) for ij, c in num.items()})
 
@@ -300,91 +305,69 @@ class SymbolAlgebra:
         fields.certified_equal for two elements of this algebra."""
         return self.sub(s, t)._certified_zero()
 
-    # linear algebra over the base field --------------------------------------
+    # inversion through the reduced characteristic polynomial ----------------
     def inverse(self, t):
         """Two-sided inverse, raising NotInvertible with a nonzero witness s
         (s*t = 0, a zero divisor) when none exists.
 
-        In a central simple algebra of degree p every element satisfies a
-        monic polynomial of degree at most p over the center, so the powers
-        1, t, ..., t^p are linearly dependent.  The minimal dependency is
-        found by forward elimination: each power is a row, reduced against
-        the earlier rows in the order they were added.  A row's pivot is its
-        smallest monomial with a certified coefficient; the row is kept
-        undivided beside its pivot value and divided only where a later
-        power meets the pivot.  That reduction makes the later power's entry
-        at the pivot exactly zero, so the entry is dropped, not computed:
-        over a Laurent field the computed difference would keep an
-        uncertified residue.  A row with entries but no certified one
-        raises PrecisionExhausted.  A nonzero constant term inverts t, a
-        zero constant term hands back the dependency tail as a zero-divisor
-        witness.  The result is verified by multiplication on both sides.
+        By Cayley-Hamilton for the reduced characteristic polynomial
+        T^p - e1 T^(p-1) + ... + (-1)^p e_p, t * tail is the scalar c for
+        tail = sum((-1)^i e_i t^(p-1-i)), e_0 = 1.  Newton's identities give
+        e_1 .. e_(p-1) from the reduced traces Trd(t^k) = -coeff(x^(p-1)),
+        k < p, dividing only by k in F_p.  So an inverse costs the products
+        t^2 .. t^(p-1), t * tail and tail * t, and one scalar inverse.  The
+        inverse tail / c is checked on both sides: t * tail must certify
+        every coefficient but c zero and equal tail * t.  Over a Laurent
+        field a window too small to certify the constant term of c / c
+        leaves the inverse undecided (PrecisionExhausted).  With c = 0 the
+        witness is tail, or when tail vanishes the first nonzero Horner sum
+        h_m(t) = sum((-1)^i e_i t^(m-i)) below it, verified by
+        multiplication.  A scalar t takes the scalar inverse, which keeps
+        its window where going through c = t^p would narrow it.
         """
         self._check(t)
+        if t.is_zero():
+            raise NotInvertible("element is a zero divisor", witness=self.one())
+        if set(t.entries) == {(0, 0)}:
+            return self._grid({(0, 0): self._one / t.entries[(0, 0)]})
         p = self.p
-        zero, one = self._zero, self._one
-        # (pivot, pivot value, row without its pivot entry, history), where the
-        # whole row is sum(history[m] * t^m)
-        basis = []
-        powers = [self.one()]
-        for k in range(p + 1):
-            if k:
-                powers.append(self.mul(powers[-1], t))
-            row = dict(powers[k].entries)
-            hist = [one if m == k else zero for m in range(p + 1)]
-            # each basis row is stored without its pivot entry and vanishes at
-            # the pivots of the rows before it, so one pass in insertion order
-            # clears every pivot: the row's entry there is dropped, not computed
-            for piv, pval, brow, bhist in basis:
-                f = row.pop(piv, None)
-                if f is not None and not f._surely_zero():
-                    q = -(f / pval)
-                    for ij, c in brow.items():
-                        d = q * c
-                        row[ij] = row[ij] + d if ij in row else d
-                    hist = [a + q * b for a, b in zip(hist, bhist)]
-            row = self._grid(row).entries
-            if not row:
-                return self._resolve_dependency(t, powers, hist)
-            certified = [ij for ij, c in row.items() if not c._certified_zero()]
-            if not certified:
-                raise PrecisionExhausted("window too small to find a pivot")
-            piv = min(certified)
-            basis.append((piv, row.pop(piv), row, hist))
-        raise WitnessVerificationFailed("powers 1..t^p were independent")
+        powers = [self.one(), t]
+        for _ in range(p - 2):
+            powers.append(self.mul(powers[-1], t))
+        # signed[i] = (-1)^i e_i from Newton's identities,
+        # k e_k = sum((-1)^(i-1) e_(k-i) P_i) with P_i = Trd(t^i)
+        traces = [-power.coeff(p - 1, 0) for power in powers]
+        signed = [self._one]
+        for k in range(1, p):
+            s = functools.reduce(operator.add, (signed[k - i] * traces[i] for i in range(1, k + 1)))
+            signed.append(s * self.field.from_int(-polys.inv_mod(k, p)))
 
-    def _resolve_dependency(self, t, powers, coeffs):
-        """Turn a dependency sum(coeffs[i] * t^i) = 0 into an inverse or a
-        zero-divisor witness; coeffs came from a minimal dependency, so the
-        tail sum is nonzero whenever the constant term vanishes.
+        def partial_sum(m):
+            # h_m(t) = sum(signed[i] * t^(m-i)) over i <= m, zero terms skipped
+            acc = dict(powers[m].entries)
+            for i in range(1, m + 1):
+                if not signed[i]._surely_zero():
+                    for ij, v in powers[m - i].entries.items():
+                        d = signed[i] * v
+                        acc[ij] = acc[ij] + d if ij in acc else d
+            return self._grid(acc)
 
-        The inverse is lam * tail with lam = -1/coeffs[0].  lam is a central
-        scalar, so the two-sided check multiplies tail, not the inverse, by
-        t and scales the product: tail is polynomial whenever t and the
-        dependency are, and its products then divide no coefficient.  Over a
-        Laurent field the check must certify the constant term 1 on both
-        sides; a window too small for that raises PrecisionExhausted.
-        """
-        tail = self.zero()
-        for i in range(1, len(powers)):
-            c = coeffs[i]
-            if not c._surely_zero():
-                tail = self.add(tail, self.scale(c, powers[i - 1]))
-        c0 = coeffs[0]
-        if c0._surely_zero():
-            if tail.is_zero() or not self.certified_equal(self.mul(tail, t), self.zero()):
+        tail = partial_sum(p - 1)
+        prod = self.mul(t, tail)
+        c = prod.coeff(0, 0)
+        right = self.mul(tail, t)
+        if not (self.certified_equal(prod, self.scalar(c)) and self.certified_equal(right, prod)):
+            raise WitnessVerificationFailed("t * tail is not a scalar on both sides")
+        if c._surely_zero():
+            witness = next(h for m in range(p - 1, -1, -1) if not (h := partial_sum(m)).is_zero())
+            if not self.certified_equal(self.mul(witness, t), self.zero()):
                 raise WitnessVerificationFailed("bad zero-divisor witness")
-            raise NotInvertible("element is a zero divisor", witness=tail)
-        lam = -(self.field.one() / c0)
-        for prod in (self.mul(tail, t), self.mul(t, tail)):
-            check = self.scale(lam, prod)
-            if not self.certified_equal(check, self.one()):
-                raise WitnessVerificationFailed("solved inverse failed the two-sided check")
-            # a window that ends before a^0 b^0 certifies no term, so the
-            # check above holds whatever the inverse; with no certified term
-            # left in check - 1, a certified constant term is exactly 1
-            if check.coeff(0, 0)._certified_zero():
-                raise PrecisionExhausted("window too small to certify the inverse")
+            raise NotInvertible("element is a zero divisor", witness=witness)
+        lam = self._one / c
+        # a window that ends before a^0 b^0 certifies no term of lam * c, so
+        # the checks above would hold whatever the inverse
+        if (lam * c)._certified_zero():
+            raise PrecisionExhausted("window too small to certify the inverse")
         return self.scale(lam, tail)
 
     def conjugate(self, u, t):

@@ -36,14 +36,18 @@ def inv_mod(c: int, p: int) -> int:
 
 def power(base, n, one, mul):
     """base^n for n >= 0 by repeated squaring, in any ring given by its
-    identity and product; no square is taken past the top bit of n."""
-    out = one
-    while n:
+    identity and product; the identity is returned only for n = 0, never
+    multiplied, and no square is taken past the top bit of n."""
+    if not n:
+        return one
+    while not n & 1:
+        base = mul(base, base)
+        n >>= 1
+    out = base
+    while n := n >> 1:
+        base = mul(base, base)
         if n & 1:
             out = mul(out, base)
-        n >>= 1
-        if n:
-            base = mul(base, base)
     return out
 
 

@@ -529,11 +529,12 @@ def test_long_rational_slot_powers_keep_numerators_small(monkeypatch):
 
 
 def test_inverse_reduces_each_power_forward_only(monkeypatch):
-    # each power is reduced once against each earlier row, no row is
-    # rewritten once it is in the basis, and a row is divided by its pivot
-    # only where a later power meets it: 363 to 370 gcds per inverse here.
-    # Normalising every row took 482 to 507; clearing each new pivot from the
-    # earlier rows as well took 891 to 1,010.
+    # the inverse reads the reduced characteristic polynomial off the traces
+    # of t .. t^(p-1) and eliminates nothing: 26 to 27 gcds per inverse here,
+    # most of them in the final division by c.  Forward elimination over the
+    # powers with lazy pivots took 357 to 362; normalising every row took
+    # 482 to 507, and clearing each new pivot from the earlier rows as well
+    # took 891 to 1,010.
     p = 5
     A = rational_algebra(p)
     rng = random.Random(5)
@@ -547,15 +548,16 @@ def test_inverse_reduces_each_power_forward_only(monkeypatch):
     for t in dense:
         calls.clear()
         A.inverse(t)
-        assert len(calls) <= 400
+        assert len(calls) <= 30
 
 
 def test_inverse_of_u_y_power_divides_no_basis_row(monkeypatch):
-    # the powers of u*y^k lie in distinct y-columns until (u*y^k)^p, a
-    # polynomial scalar, so no basis row is ever divided and the check
-    # multiplies polynomials: the gcds left are those of lam * tail, one per
-    # coefficient.  Normalising every basis row and checking with the
-    # rational inverse took 17 to 36.
+    # the powers t^k, k < p, of t = u*y^k lie in y-columns other than 0, so
+    # every trace and every e_i but e_p vanishes, tail is t^(p-1) and the
+    # check multiplies polynomials: the gcds left are those of tail / c, one
+    # per coefficient, 3 to 7 here (3 to 8 when inverses eliminated over the
+    # powers).  Normalising every basis row and checking with the rational
+    # inverse took 17 to 36.
     p = 5
     A = rational_algebra(p)
     rng = random.Random(11)
@@ -600,6 +602,35 @@ def test_inverse_of_x_closed_form(p):
     expected = A.scale(A.field.one() / A.alpha, A.power(x, p - 1) - A.one())
     assert inv == expected
     assert A.mul(inv, x) == A.one() and A.mul(x, inv) == A.one()
+
+
+def test_rank_one_idempotent_gets_a_horner_witness():
+    # in the split [0, b)_3, t = 1 - x^2 is a rank-1 idempotent: its reduced
+    # characteristic polynomial is T^3 - T^2, so both c and tail = t^2 - t
+    # vanish, and the witness is the next Horner sum t - 1 = 2*x^2
+    field = FieldDescriptor("rational", 3)
+    A = make_algebra(3, field.zero(), field.gen("b"), field)
+    t = A.from_entries({(0, 0): 1, (2, 0): 2})
+    assert A.mul(t, t) == t
+    with pytest.raises(NotInvertible) as exc:
+        A.inverse(t)
+    s = exc.value.witness
+    assert not s.is_zero()
+    assert A.mul(s, t).is_zero()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_inverse_in_fx_is_the_product_of_the_other_shifts_over_the_norm(p):
+    # an independent closed form: N(u) is the product of the p shifts
+    # u(x + i), so 1/u is the product of the shifts i = 1 .. p-1 over N(u)
+    A = rational_algebra(p)
+    rng = random.Random(41 + p)
+    for _ in range(4):
+        u = random_fx_element(rng, A)
+        others = A.one()
+        for i in range(1, p):
+            others = A.mul(others, A.shift_x(u, i))
+        assert A.inverse(u) == A.scale(A.field.one() / A.norm_Fx(u), others)
 
 
 def test_split_algebra_zero_divisor_witness():
@@ -694,8 +725,8 @@ def test_laurent_inverse_matches_exact_inverse_inside_window(p):
             compare(window, t, exact)
             done += 1
     if p == 5:
-        # a general element outside the u*y^k family: window 6 certifies its
-        # inverse only when each power is reduced once against each earlier row
+        # a general element outside the u*y^k family, whose window-6 inverse
+        # stays certified through the traces of its powers
         a, b = rat.gen("a"), rat.gen("b")
         t = R.from_entries({(0, 1): a, (0, 2): 1, (1, 0): 3 * b, (1, 1): 4 * a})
         compare(6, t, R.inverse(t))
@@ -726,16 +757,16 @@ def test_laurent_inverse_of_general_elements_is_certified_or_undecided(p):
                     continue
                 _agrees_on_certified_terms(approx, R.inverse(t))
                 decided += 1
-    # most p = 5 draws exhaust the window (ROADMAP item 3); each prime still
-    # decides some
-    assert decided >= {2: 60, 3: 40, 5: 2}[p]
+    # the traces' inverse decides all 63 draws at p = 2 and 3 and 61 of 63 at
+    # p = 5, where forward elimination over the powers decided 63, 49 and 3
+    assert decided >= {2: 63, 3: 63, 5: 61}[p]
 
 
 @pytest.mark.parametrize("text", ["1/(1+a)", "1/(1/(1+b) - 1)"])
 def test_laurent_element_inverse_of_a_scalar_is_the_scalar_inverse(text):
-    # the reduction drops the pivot entry it clears; computing it as
-    # f - (f / pval) * pval left an uncertified residue there, and the
-    # inverse of 1/(1+a) raised PrecisionExhausted where c.inverse() did not
+    # a scalar element takes the scalar inverse: dividing tail by c = t^p
+    # certified 1/(1/(1+b) - 1) only to O(b^2), and an elimination that
+    # computed its pivot entries raised PrecisionExhausted on 1/(1+a)
     lau = FieldDescriptor("laurent", 3, 8)
     A = make_algebra(3, lau.gen("a"), lau.gen("b"), lau)
     c = parse_scalar(text, lau)
@@ -763,8 +794,8 @@ def test_laurent_inverse_must_certify_its_constant_term():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_inverse_agrees_with_dense_reference(p):
-    # the minimal-dependency inverse and the p^2 x p^2 right-multiplication
-    # solve are independent routes and must agree
+    # the characteristic-polynomial inverse and the p^2 x p^2
+    # right-multiplication solve are independent routes and must agree
     A = rational_algebra(p)
     rng = random.Random(303 + p)
     done = 0
