@@ -7,6 +7,19 @@ eb -> its coefficient in F_p[a], and each coefficient is a dense list,
 lowest degree first, with no trailing zero and [] for zero.  Only
 ``_to_rec`` and ``_from_rec`` convert between the two.
 
+``p_gcd`` settles three cases before any pseudo-remainder sequence.
+A single-term operand has only a and b as prime factors, so its gcd
+with g is a^min(i, min_a g) * b^min(j, min_b g).  Otherwise the common
+monomial factor a^i b^j (the least exponents of each operand) splits
+off and is multiplied back at the end.  Then, with the contents in
+F_p[a] split off, the primitive parts F and G (deg_b >= 1) are proved
+coprime by a point a0 of F_p where lc_b(F)(a0) != 0 and F(a0, b),
+G(a0, b) are coprime in F_p[b] (the degree bound of Brown's modular
+gcd): H = gcd(F, G) divides F, so lc_b(H)(a0) != 0 and deg_b H equals
+the degree of H(a0, b), which divides gcd(F(a0, b), G(a0, b)) = 1.  The
+gcd is then that of the contents.  When no point proves it, the
+subresultant sequence runs.
+
 All functions are pure. Monomial comparisons use graded lexicographic
 order with a ranked above b; gcds are returned monic with respect to that
 order so that canonical forms are unique.
@@ -312,22 +325,65 @@ def _subresultant_gcd(F, G, p):
             h = u_div_exact(_u_pow(g, delta, p), _u_pow(h, delta - 1, p), p)
 
 
+def _u_at(f, a0, p):
+    c = 0
+    for k in reversed(f):
+        c = (c * a0 + k) % p
+    return c
+
+
+def _rec_at(rec, a0, p):
+    """rec at a = a0: a dense univariate polynomial in b."""
+    out = [0] * (max(rec) + 1)
+    for eb, ua in rec.items():
+        out[eb] = _u_at(ua, a0, p)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _coprime_at_a_point(F, G, p):
+    """True when some a0 in F_p proves primitive F, G (deg_b F >= 1) coprime:
+    lc_b(F)(a0) != 0 and gcd(F(a0, b), G(a0, b)) = 1.  False proves nothing."""
+    lcf = F[max(F)]
+    return any(_u_at(lcf, a0, p) and u_gcd(_rec_at(F, a0, p), _rec_at(G, a0, p), p) == [1]
+               for a0 in range(p))
+
+
 def p_gcd(f, g, p):
-    """Gcd in F_p[a, b]: contents split off, then the subresultant
-    pseudo-remainder sequence on the primitive parts (fraction-free,
-    linear coefficient growth)."""
+    """Monic gcd in F_p[a, b].  A single-term operand gives a monomial
+    read off the exponents; otherwise the common monomial factor is split
+    off both operands, and the rest goes to ``_gcd_of_rest``, which
+    returns the contents' gcd when one point a0 proves the primitive
+    parts coprime (sound by the degree bound in the module docstring) and
+    runs the subresultant pseudo-remainder sequence (fraction-free, linear
+    coefficient growth) on them only when no point does."""
     if not f:
         return p_monic(g, p)
     if not g:
         return p_monic(f, p)
-    if p_is_one(f) or p_is_one(g):
-        return dict(P_ONE)
     if f == g:
         return p_monic(f, p)
-    if len(f) == 1 and len(g) == 1:
-        (ma, mb), = f
-        (na, nb), = g
-        return {(min(ma, na), min(mb, nb)): 1}
+    # a^i b^j divides f exactly when i and j are at most f's least
+    # exponents of a and of b
+    fa, fb = min(ea for ea, _ in f), min(eb for _, eb in f)
+    ga, gb = min(ea for ea, _ in g), min(eb for _, eb in g)
+    common = (min(fa, ga), min(fb, gb))
+    if len(f) == 1 or len(g) == 1:
+        return {common: 1}
+    rest = _gcd_of_rest(_shift(f, -fa, -fb), _shift(g, -ga, -gb), p)
+    return p_monic(_shift(rest, *common), p)
+
+
+def _shift(f, da, db):
+    """f times a^da b^db, for exponents that stay at least 0."""
+    if not da and not db:
+        return f
+    return {(ea + da, eb + db): c for (ea, eb), c in f.items()}
+
+
+def _gcd_of_rest(f, g, p):
+    """A gcd, not yet monic, of f and g, neither of them divisible by a or b."""
     rf, rg = _to_rec(f), _to_rec(g)
     df, dg = max(rf), max(rg)
     if df == 0 and dg == 0:
@@ -342,10 +398,12 @@ def p_gcd(f, g, p):
     G = _rec_quo_content(rg, cg, p)
     if max(F) < max(G):
         F, G = G, F
+    if _coprime_at_a_point(F, G, p):
+        return _from_rec({0: c})
     H = _subresultant_gcd(F, G, p)
     cont = _rec_content(H, p)
     H = _rec_quo_content(H, cont, p)
-    return p_monic(_from_rec(_rec_scale(H, c, p)), p)
+    return _from_rec(_rec_scale(H, c, p))
 
 
 def p_div_exact(f, g, p):

@@ -26,6 +26,16 @@ def from_sympy(poly, p):
     return out
 
 
+def sympy_gcd(f, g, p):
+    """The monic gcd of f and g by sympy, recursing in b, its first
+    generator, which is of low degree here and fast."""
+    theirs = sympy.gcd(
+        sympy.Poly(to_sympy(f).as_expr(), B, A, modulus=p),
+        sympy.Poly(to_sympy(g).as_expr(), B, A, modulus=p),
+    )
+    return polys.p_monic(from_sympy(sympy.Poly(theirs.as_expr(), A, B), p), p)
+
+
 def random_poly(rng, p, max_deg=3, terms=4):
     out = {}
     for _ in range(rng.randint(0, terms)):
@@ -74,14 +84,7 @@ def test_gcd_matches_sympy(p):
         fh, gh = polys.p_mul(f, h, p), polys.p_mul(g, h, p)
         if not fh or not gh:
             continue
-        ours = polys.p_gcd(fh, gh, p)
-        theirs = sympy.gcd(
-            sympy.Poly(to_sympy(fh).as_expr(), A, B, modulus=p),
-            sympy.Poly(to_sympy(gh).as_expr(), A, B, modulus=p),
-        )
-        theirs_dict = from_sympy(sympy.Poly(theirs, A, B), p)
-        # both are nonzero multiples of each other; compare after monic scaling
-        assert ours == polys.p_monic(theirs_dict, p)
+        assert polys.p_gcd(fh, gh, p) == sympy_gcd(fh, gh, p)
         checked += 1
 
 
@@ -204,11 +207,118 @@ def test_gcd_and_div_exact_match_sympy_at_high_a_degree(p):
                     for _ in range(rng.randint(1, 8))} for _ in range(3))
         fh, gh = polys.p_mul(f, h, p), polys.p_mul(g, h, p)
         ours = polys.p_gcd(fh, gh, p)
-        # sympy recurses in its first generator: b, of low degree, is fast
-        theirs = sympy.gcd(
-            sympy.Poly(to_sympy(fh).as_expr(), B, A, modulus=p),
-            sympy.Poly(to_sympy(gh).as_expr(), B, A, modulus=p),
-        )
-        assert ours == polys.p_monic(from_sympy(sympy.Poly(theirs.as_expr(), A, B), p), p)
+        assert ours == sympy_gcd(fh, gh, p)
         assert polys.p_mul(polys.p_div_exact(fh, ours, p), ours, p) == fh
         assert polys.p_div_exact(fh, h, p) == f
+
+
+# the cases p_gcd settles before the subresultant sequence, each checked
+# against sympy, and the certificate's refusals
+
+GCD_PRIMES = [2, 3, 5, 7]
+
+
+def monomial(ea, eb):
+    return {(ea, eb): 1}
+
+
+def count_subresultant_runs(monkeypatch):
+    runs = []
+    subresultant = polys._subresultant_gcd
+    monkeypatch.setattr(polys, "_subresultant_gcd",
+                        lambda F, G, p: runs.append(1) or subresultant(F, G, p))
+    return runs
+
+
+def random_in_b(rng, p, deg_a, deg_b):
+    """A random polynomial of b-degree exactly deg_b >= 1, with a constant
+    term, so that neither a nor b divides it."""
+    f = random_poly(rng, p, deg_a, 4)
+    f[(rng.randint(0, deg_a), deg_b)] = rng.randrange(1, p)
+    f[(0, 0)] = rng.randrange(1, p)
+    return {m: c for m, c in f.items() if m[1] <= deg_b}
+
+
+@pytest.mark.parametrize("p", GCD_PRIMES)
+def test_gcd_with_a_single_term_operand_matches_sympy(p, monkeypatch):
+    # a monomial's only prime factors are a and b: no remainder sequence runs
+    rng = random.Random(7000 + p)
+    runs = count_subresultant_runs(monkeypatch)
+    for _ in range(20):
+        term = {(rng.randint(0, 4), rng.randint(0, 4)): rng.randrange(1, p)}
+        g = polys.p_mul(random_in_b(rng, p, 3, rng.randint(1, 3)),
+                        monomial(rng.randint(0, 4), rng.randint(0, 4)), p)
+        for f, h in ((term, g), (g, term)):
+            assert polys.p_gcd(f, h, p) == sympy_gcd(f, h, p)
+    assert not runs
+
+
+@pytest.mark.parametrize("p", GCD_PRIMES)
+def test_gcd_with_planted_monomial_factors_matches_sympy(p):
+    rng = random.Random(7100 + p)
+    for _ in range(20):
+        h = random_in_b(rng, p, 2, rng.randint(1, 2)) if rng.random() < 0.5 else polys.P_ONE
+        f, g = (polys.p_mul(polys.p_mul(random_in_b(rng, p, 2, 2), h, p),
+                            monomial(rng.randint(0, 3), rng.randint(0, 3)), p) for _ in range(2))
+        assert polys.p_gcd(f, g, p) == sympy_gcd(f, g, p)
+
+
+@pytest.mark.parametrize("p", GCD_PRIMES)
+def test_gcd_of_coprime_primitive_parts_is_the_contents_gcd(p, monkeypatch):
+    # contents in F_p[a] share u; the primitive parts F, G are coprime, so
+    # the gcd is u, and one point a0 proves it with no remainder sequence
+    rng = random.Random(7200 + p)
+    runs = count_subresultant_runs(monkeypatch)
+    checked = 0
+    while checked < 15:
+        u = {(1, 0): 1, (0, 0): rng.randrange(1, p)}
+        F, G = random_in_b(rng, p, 3, 2), random_in_b(rng, p, 3, 1)
+        if sympy_gcd(F, G, p) != polys.P_ONE:
+            continue
+        cf, cg = (polys.p_mul(u, {(rng.randint(0, 2), 0): 1, (0, 0): 1}, p) for _ in range(2))
+        f, g = polys.p_mul(F, cf, p), polys.p_mul(G, cg, p)
+        assert polys.p_gcd(f, g, p) == sympy_gcd(f, g, p)
+        checked += 1
+    # F_2 and F_3 have few points, and a coprime pair can share a root in b
+    # at each of them: 7 and 3 of these 15 pairs fall through to the
+    # remainder sequence there, and none at p = 5 and 7
+    assert len(runs) <= {2: 7, 3: 3}.get(p, 0)
+
+
+@pytest.mark.parametrize("p", GCD_PRIMES)
+def test_gcd_with_a_planted_common_factor_is_never_certified_coprime(p, monkeypatch):
+    # h has b-degree at least 1, so F(a0, b) and G(a0, b) share h(a0, b)
+    # of positive degree wherever lc_b(F)(a0) != 0
+    rng = random.Random(7300 + p)
+    answers = []
+    certificate = polys._coprime_at_a_point
+    monkeypatch.setattr(polys, "_coprime_at_a_point",
+                        lambda F, G, q: answers.append(certificate(F, G, q)) or answers[-1])
+    for _ in range(15):
+        h = random_in_b(rng, p, 2, rng.randint(1, 2))
+        f = polys.p_mul(random_in_b(rng, p, 2, rng.randint(1, 2)), h, p)
+        g = polys.p_mul(random_in_b(rng, p, 2, rng.randint(1, 2)), h, p)
+        assert polys.p_gcd(f, g, p) == sympy_gcd(f, g, p)
+    assert answers and not any(answers)
+
+
+@pytest.mark.parametrize("p", GCD_PRIMES)
+def test_gcd_with_lc_vanishing_on_all_of_f_p_runs_the_remainder_sequence(p, monkeypatch):
+    # lc_b of both operands is a multiple of a^p - a, which vanishes at every
+    # a0 in F_p: no point can certify, so the subresultant sequence decides
+    rng = random.Random(7400 + p)
+    vanishing = {(p, 0): 1, (1, 0): p - 1}
+    runs = count_subresultant_runs(monkeypatch)
+    checked = 0
+    while checked < 10:
+        f, g = ({**random_in_b(rng, p, 2, 1),
+                 **polys.p_mul(vanishing, {(rng.randint(0, 1), 2): 1}, p)}
+                for _ in range(2))
+        if f == g:
+            continue
+        if checked % 2:
+            h = random_in_b(rng, p, 1, 1)
+            f, g = polys.p_mul(f, h, p), polys.p_mul(g, h, p)
+        assert polys.p_gcd(f, g, p) == sympy_gcd(f, g, p)
+        checked += 1
+        assert len(runs) == checked
