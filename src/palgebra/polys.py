@@ -17,8 +17,11 @@ coprime by a point a0 of F_p where lc_b(F)(a0) != 0 and F(a0, b),
 G(a0, b) are coprime in F_p[b] (the degree bound of Brown's modular
 gcd): H = gcd(F, G) divides F, so lc_b(H)(a0) != 0 and deg_b H equals
 the degree of H(a0, b), which divides gcd(F(a0, b), G(a0, b)) = 1.  The
-gcd is then that of the contents.  When no point proves it, the
-subresultant sequence runs.
+gcd is then that of the contents.  For a coprime pair only the zeros of
+lc_b(F) and of the nonzero resultant Res_b(F, G) fail, at most
+deg_a lc_b(F) + deg_a F * deg_b G + deg_a G * deg_b F points, so the
+scan stops one point past that bound (or at the end of F_p), whatever
+the size of p.  When no point proves it, the subresultant sequence runs.
 
 All functions are pure. Monomial comparisons use graded lexicographic
 order with a ranked above b; gcds are returned monic with respect to that
@@ -342,12 +345,20 @@ def _rec_at(rec, a0, p):
     return out
 
 
+def _deg_a(rec):
+    return max(map(len, rec.values())) - 1
+
+
 def _coprime_at_a_point(F, G, p):
     """True when some a0 in F_p proves primitive F, G (deg_b F >= 1) coprime:
-    lc_b(F)(a0) != 0 and gcd(F(a0, b), G(a0, b)) = 1.  False proves nothing."""
+    lc_b(F)(a0) != 0 and gcd(F(a0, b), G(a0, b)) = 1.  If F and G are
+    coprime, only the zeros of lc_b(F) and of the nonzero Res_b(F, G) fail,
+    at most deg_a lc_b(F) + deg_a F * deg_b G + deg_a G * deg_b F of them,
+    so past that many failures the scan stops: F and G share a factor."""
     lcf = F[max(F)]
+    bad = len(lcf) - 1 + _deg_a(F) * max(G) + _deg_a(G) * max(F)
     return any(_u_at(lcf, a0, p) and u_gcd(_rec_at(F, a0, p), _rec_at(G, a0, p), p) == [1]
-               for a0 in range(p))
+               for a0 in range(min(p, bad + 1)))
 
 
 def p_gcd(f, g, p):
@@ -355,8 +366,9 @@ def p_gcd(f, g, p):
     read off the exponents; otherwise the common monomial factor is split
     off both operands, and the rest goes to ``_gcd_of_rest``, which
     returns the contents' gcd when one point a0 proves the primitive
-    parts coprime (sound by the degree bound in the module docstring) and
-    runs the subresultant pseudo-remainder sequence (fraction-free, linear
+    parts coprime (sound by the degree bound in the module docstring; the
+    points tried are bounded by the operands' degrees, not by p) and runs
+    the subresultant pseudo-remainder sequence (fraction-free, linear
     coefficient growth) on them only when no point does."""
     if not f:
         return p_monic(g, p)

@@ -36,6 +36,10 @@ def sympy_gcd(f, g, p):
     return polys.p_monic(from_sympy(sympy.Poly(theirs.as_expr(), A, B), p), p)
 
 
+def monomial(ea, eb):
+    return {(ea, eb): 1}
+
+
 def random_poly(rng, p, max_deg=3, terms=4):
     out = {}
     for _ in range(rng.randint(0, terms)):
@@ -75,12 +79,15 @@ def test_mul_into_then_reduce_is_a_sum_of_products(p):
     }
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_gcd_matches_sympy(p):
     rng = random.Random(2000 + p)
     checked = 0
     while checked < 30:
         f, g, h = random_poly(rng, p, 2, 3), random_poly(rng, p, 2, 3), random_poly(rng, p, 2, 2)
+        if checked % 2:
+            # a planted factor a^i b^j on each operand, split off before the rest
+            f, g = (polys.p_mul(k, monomial(rng.randint(0, 3), rng.randint(0, 3)), p) for k in (f, g))
         fh, gh = polys.p_mul(f, h, p), polys.p_mul(g, h, p)
         if not fh or not gh:
             continue
@@ -218,10 +225,6 @@ def test_gcd_and_div_exact_match_sympy_at_high_a_degree(p):
 GCD_PRIMES = [2, 3, 5, 7]
 
 
-def monomial(ea, eb):
-    return {(ea, eb): 1}
-
-
 def count_subresultant_runs(monkeypatch):
     runs = []
     subresultant = polys._subresultant_gcd
@@ -251,16 +254,6 @@ def test_gcd_with_a_single_term_operand_matches_sympy(p, monkeypatch):
         for f, h in ((term, g), (g, term)):
             assert polys.p_gcd(f, h, p) == sympy_gcd(f, h, p)
     assert not runs
-
-
-@pytest.mark.parametrize("p", GCD_PRIMES)
-def test_gcd_with_planted_monomial_factors_matches_sympy(p):
-    rng = random.Random(7100 + p)
-    for _ in range(20):
-        h = random_in_b(rng, p, 2, rng.randint(1, 2)) if rng.random() < 0.5 else polys.P_ONE
-        f, g = (polys.p_mul(polys.p_mul(random_in_b(rng, p, 2, 2), h, p),
-                            monomial(rng.randint(0, 3), rng.randint(0, 3)), p) for _ in range(2))
-        assert polys.p_gcd(f, g, p) == sympy_gcd(f, g, p)
 
 
 @pytest.mark.parametrize("p", GCD_PRIMES)
@@ -305,20 +298,43 @@ def test_gcd_with_a_planted_common_factor_is_never_certified_coprime(p, monkeypa
 @pytest.mark.parametrize("p", GCD_PRIMES)
 def test_gcd_with_lc_vanishing_on_all_of_f_p_runs_the_remainder_sequence(p, monkeypatch):
     # lc_b of both operands is a multiple of a^p - a, which vanishes at every
-    # a0 in F_p: no point can certify, so the subresultant sequence decides
+    # a0 in F_p: no point can certify, so the subresultant sequence decides.
+    # Each operand and h have the coefficient 1 at some power of b, so they
+    # are primitive and lc_b keeps the factor a^p - a once contents split off
     rng = random.Random(7400 + p)
     vanishing = {(p, 0): 1, (1, 0): p - 1}
     runs = count_subresultant_runs(monkeypatch)
     checked = 0
     while checked < 10:
-        f, g = ({**random_in_b(rng, p, 2, 1),
-                 **polys.p_mul(vanishing, {(rng.randint(0, 1), 2): 1}, p)}
+        f, g = ({**{(ea, 0): rng.randrange(1, p) for ea in range(rng.randint(1, 3))}, (0, 1): 1,
+                 **polys.p_mul(vanishing, monomial(rng.randint(0, 1), 2), p)}
                 for _ in range(2))
         if f == g:
             continue
         if checked % 2:
-            h = random_in_b(rng, p, 1, 1)
+            h = {(rng.randint(0, 1), 0): rng.randrange(1, p), (0, 0): 1, (0, 1): 1}
             f, g = polys.p_mul(f, h, p), polys.p_mul(g, h, p)
         assert polys.p_gcd(f, g, p) == sympy_gcd(f, g, p)
         checked += 1
         assert len(runs) == checked
+
+
+def test_certificate_scan_is_bounded_by_degrees_not_p(monkeypatch):
+    # a planted common factor of b-degree 1 at p = 65521: a coprime pair fails
+    # at most at the zeros of lc_b(F) and Res_b(F, G), so the scan stops after
+    # deg_a lc_b(F) + deg_a F * deg_b G + deg_a G * deg_b F + 1 points, each
+    # evaluating both operands once, instead of trying every a0 in F_p
+    p = 65521
+    rng = random.Random(7500)
+    calls = []
+    rec_at = polys._rec_at
+    monkeypatch.setattr(polys, "_rec_at", lambda rec, a0, q: calls.append(a0) or rec_at(rec, a0, q))
+    for _ in range(5):
+        h = random_in_b(rng, p, 2, 1)
+        f = polys.p_mul(random_in_b(rng, p, 2, rng.randint(1, 2)), h, p)
+        g = polys.p_mul(random_in_b(rng, p, 2, rng.randint(1, 2)), h, p)
+        calls.clear()
+        assert polys.p_gcd(f, g, p) == sympy_gcd(f, g, p)
+        (fa, fb), (ga, gb) = (tuple(map(max, zip(*k))) for k in (f, g))
+        bound = max(fa, ga) + fa * gb + ga * fb + 1
+        assert calls and len(calls) <= 2 * bound
