@@ -39,9 +39,11 @@ per group, whose windows the scalars track; that loop is the only place
 a product does scalar arithmetic, and the only place whole constants are
 built.
 
-Inverses need no elimination: t * tail is a scalar for a polynomial tail
-in t read off the reduced characteristic polynomial, whose coefficients
-come from reduced traces (SymbolAlgebra.inverse).
+Inverses and norms need no elimination.  One recurrence walks the reduced
+characteristic polynomial of t in Horner form, each coefficient read off
+the reduced trace of the product just formed (SymbolAlgebra._horner_sums).
+Its last sum is a polynomial tail in t with t * tail = tail * t = Nrd(t),
+a scalar: inverse returns tail / Nrd(t), and norm_Fx is Nrd on F[x].
 """
 
 from __future__ import annotations
@@ -305,61 +307,54 @@ class SymbolAlgebra:
         fields.certified_equal for two elements of this algebra."""
         return self.sub(s, t)._certified_zero()
 
-    # inversion through the reduced characteristic polynomial ----------------
+    # the reduced characteristic polynomial, in Horner form ------------------
+    def _horner_sums(self, t):
+        """The Horner sums h_0 .. h_(p-1) of t's reduced characteristic
+        polynomial T^p + s_1 T^(p-1) + ... + s_p, s_k = (-1)^k e_k, and
+        h_(p-1) * t.  Here h_0 = 1 and h_k = h_(k-1) * t + s_k, where
+        Newton's identities give s_k = -Trd(h_(k-1) * t) / k with
+        Trd(v) = -coeff(x^(p-1) y^0), dividing only by k < p in F_p; an
+        exact-zero s_k is not added.  By Cayley-Hamilton h_(p-1) * t is the
+        scalar -s_p = Nrd(t).  Costs p - 1 products, each on the right."""
+        p, from_int = self.p, self.field.from_int
+        sums = [self.one()]
+        prod = t
+        for k in range(1, p):
+            s = prod.coeff(p - 1, 0) * from_int(polys.inv_mod(k, p))
+            h = prod if s._surely_zero() else self.add(prod, self.scalar(s))
+            sums.append(h)
+            prod = self.mul(h, t)
+        return sums, prod
+
     def inverse(self, t):
         """Two-sided inverse, raising NotInvertible with a nonzero witness s
         (s*t = 0, a zero divisor) when none exists.
 
-        By Cayley-Hamilton for the reduced characteristic polynomial
-        T^p - e1 T^(p-1) + ... + (-1)^p e_p, t * tail is the scalar c for
-        tail = sum((-1)^i e_i t^(p-1-i)), e_0 = 1.  Newton's identities give
-        e_1 .. e_(p-1) from the reduced traces Trd(t^k) = -coeff(x^(p-1)),
-        k < p, dividing only by k in F_p.  So an inverse costs the products
-        t^2 .. t^(p-1), t * tail and tail * t, and one scalar inverse.  The
-        inverse tail / c is checked on both sides: t * tail must certify
-        every coefficient but c zero and equal tail * t.  Over a Laurent
-        field a window too small to certify the constant term of c / c
-        leaves the inverse undecided (PrecisionExhausted).  With c = 0 the
-        witness is tail, or when tail vanishes the first nonzero Horner sum
-        h_m(t) = sum((-1)^i e_i t^(m-i)) below it, verified by
-        multiplication.  A scalar t takes the scalar inverse, which keeps
-        its window where going through c = t^p would narrow it.
+        The Horner sums of the reduced characteristic polynomial
+        (_horner_sums) give tail = h_(p-1) with tail * t = Nrd(t), so c =
+        the constant term of t * tail and the inverse is tail / c.  An
+        inverse costs the p - 1 products of the recurrence, t * tail and
+        one scalar inverse.  It is checked on both sides: t * tail must
+        certify every coefficient but c zero and equal tail * t.  Over a
+        Laurent field a window too small to certify the constant term of
+        c / c leaves the inverse undecided (PrecisionExhausted).  With c = 0
+        the witness is the last nonzero h_m, verified by multiplication.  A
+        scalar t takes the scalar inverse, which keeps its window where
+        going through c = t^p would narrow it.
         """
         self._check(t)
         if t.is_zero():
             raise NotInvertible("element is a zero divisor", witness=self.one())
         if set(t.entries) == {(0, 0)}:
             return self._grid({(0, 0): self._one / t.entries[(0, 0)]})
-        p = self.p
-        powers = [self.one(), t]
-        for _ in range(p - 2):
-            powers.append(self.mul(powers[-1], t))
-        # signed[i] = (-1)^i e_i from Newton's identities,
-        # k e_k = sum((-1)^(i-1) e_(k-i) P_i) with P_i = Trd(t^i)
-        traces = [-power.coeff(p - 1, 0) for power in powers]
-        signed = [self._one]
-        for k in range(1, p):
-            s = functools.reduce(operator.add, (signed[k - i] * traces[i] for i in range(1, k + 1)))
-            signed.append(s * self.field.from_int(-polys.inv_mod(k, p)))
-
-        def partial_sum(m):
-            # h_m(t) = sum(signed[i] * t^(m-i)) over i <= m, zero terms skipped
-            acc = dict(powers[m].entries)
-            for i in range(1, m + 1):
-                if not signed[i]._surely_zero():
-                    for ij, v in powers[m - i].entries.items():
-                        d = signed[i] * v
-                        acc[ij] = acc[ij] + d if ij in acc else d
-            return self._grid(acc)
-
-        tail = partial_sum(p - 1)
+        sums, right = self._horner_sums(t)
+        tail = sums[-1]
         prod = self.mul(t, tail)
         c = prod.coeff(0, 0)
-        right = self.mul(tail, t)
         if not (self.certified_equal(prod, self.scalar(c)) and self.certified_equal(right, prod)):
             raise WitnessVerificationFailed("t * tail is not a scalar on both sides")
         if c._surely_zero():
-            witness = next(h for m in range(p - 1, -1, -1) if not (h := partial_sum(m)).is_zero())
+            witness = next(h for h in reversed(sums) if not h.is_zero())
             if not self.certified_equal(self.mul(witness, t), self.zero()):
                 raise WitnessVerificationFailed("bad zero-divisor witness")
             raise NotInvertible("element is a zero divisor", witness=witness)
@@ -397,28 +392,15 @@ class SymbolAlgebra:
             if j != 0:
                 raise NotInSubfield("element involves y")
 
-    def shift_x(self, u, k):
-        """Substitute x -> x + k in an element of F[x]."""
-        self._require_fx(u)
-        p = self.p
-        k %= p
-        entries = {}
-        for (e, _), c in u.support():
-            # y^k x^e = (x + k)^e y^k; e < p, so no x^p wraps to alpha
-            for m, const, _ in _x_expansion(p, 0, k, e):
-                cur = entries.get((m, 0), self._zero)
-                entries[(m, 0)] = cur + self.field.from_int(const) * c
-        return self._grid(entries)
-
     def norm_Fx(self, u):
-        """Product of the p shifts u(x + i), reduced to a base-field scalar."""
+        """The norm of u from F[x] to the base field, the product of the p
+        shifts u(x + i): on F[x] it is the reduced norm, read as the
+        constant term of h_(p-1)(u) * u (_horner_sums), which must certify
+        as a scalar."""
         self._require_fx(u)
         if u.is_zero():
             raise ZeroElement("the norm of zero is not defined")
-        prod = u
-        for i in range(1, self.p):
-            prod = self.mul(prod, self.shift_x(u, i))
-        c = prod.is_scalar()
+        c = self._horner_sums(u)[1].is_scalar()
         if c is None:
             raise WitnessVerificationFailed("norm did not land in the base field")
         return c

@@ -313,6 +313,12 @@ class LaurentScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # an exact zero bounds nothing, so the sum keeps the other operand's
+        # la and lb instead of lowering them to 0
+        if other._surely_zero():
+            return self
+        if self._surely_zero():
+            return other
         p = self.p
         return LaurentScalar(
             p,
@@ -386,7 +392,13 @@ class LaurentScalar:
         w = self * m_inv - 1
         if w._surely_zero():
             return m_inv
-        if w.la == -INF:
+        # with hb infinite a term w does not store has ea >= ha, so the
+        # stored terms and ha bound w's a-exponents where the tracked la,
+        # which only grows looser through products, may not
+        bound = w.la
+        if w.hb == INF:
+            bound = max(bound, min(min((ea for ea, _ in w.terms), default=INF), w.ha))
+        if bound == -INF:
             raise PrecisionExhausted("cannot bound the inverse's support")
         # Every true term of w is lex-positive: eb >= 1, or eb == 0 with
         # ea >= 1, and below b^hb a term w does not store has ea >= ha.  So a
@@ -418,11 +430,9 @@ class LaurentScalar:
             term = {m: c for m, c in nxt.items() if c}
             for m, c in term.items():
                 acc[m] = (acc.get(m, 0) + c) % p
-        out = LaurentScalar(p, prec, acc, ta, tb) * m_inv
-        # tracked lower bounds over-count error compounding; the true ones
-        # follow from the series shape
-        la = -k0 if w.la >= 0 else -INF
-        return LaurentScalar(p, prec, out.terms, out.ha, out.hb, la, -j0)
+        # the powers of w stay at b-exponents >= 0, and at a-exponents >= 0
+        # when w's do; tracked lower bounds would over-count error compounding
+        return LaurentScalar(p, prec, acc, ta, tb, 0 if bound >= 0 else -INF, 0) * m_inv
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: the source path, the samplers, the
-per-coefficient product oracle, the dense inverse oracle, the Laurent
-expansion oracle and the general two-column Hermite form."""
+per-coefficient product oracle, the dense inverse oracle, the shifts in
+F[x], the Laurent expansion oracle and the general two-column Hermite form."""
 
 from math import comb, gcd
 from pathlib import Path
@@ -160,6 +160,34 @@ def _solve_or_null(matrix, rhs, zero, one):
     for col, r in pivot_of_col.items():
         vec[col] = -m[r][free]
     return "null", vec
+
+
+# --- reference path: the norm from F[x] as a product of shifts --------------
+# An independent cross-check for SymbolAlgebra.norm_Fx, which reads the norm
+# off the reduced characteristic polynomial: N(u) is the product of the p
+# Galois conjugates u(x + i), each expanded binomially.
+
+def shift_x(A, u, k):
+    """u(x + k) for an element u of F[x]; y^k x^e = (x + k)^e y^k with
+    e < p, so no x^p wraps to alpha."""
+    p = A.p
+    entries = {}
+    for (e, j), c in u.support():
+        assert j == 0, "u must lie in F[x]"
+        for m in range(e + 1):
+            const = comb(e, m) * pow(k, e - m, p) % p
+            if const:
+                cur = entries.get((m, 0), A.field.zero())
+                entries[(m, 0)] = cur + A.field.from_int(const) * c
+    return A.from_entries(entries)
+
+
+def shifts_product(A, u, first=0):
+    """The product of the shifts u(x + i) for i = first .. p-1, in order."""
+    prod = A.one()
+    for i in range(first, A.p):
+        prod = A.mul(prod, shift_x(A, u, i))
+    return prod
 
 
 # --- reference path: Laurent expansion of a rational function ----------------

@@ -32,6 +32,7 @@ from support import (
     random_element,
     random_nonzero_element,
     random_rational_function,
+    shifts_product,
 )
 
 
@@ -530,11 +531,11 @@ def test_long_rational_slot_powers_keep_numerators_small(monkeypatch):
 
 def test_inverse_reduces_each_power_forward_only(monkeypatch):
     # the inverse reads the reduced characteristic polynomial off the traces
-    # of t .. t^(p-1) and eliminates nothing: 26 to 27 gcds per inverse here,
-    # most of them in the final division by c.  Forward elimination over the
-    # powers with lazy pivots took 357 to 362; normalising every row took
-    # 482 to 507, and clearing each new pivot from the earlier rows as well
-    # took 891 to 1,010.
+    # of its Horner products h_(k-1) * t and eliminates nothing: 26 to 27
+    # gcds per inverse here, most of them in the final division by c.
+    # Forward elimination over the powers with lazy pivots took 357 to 362;
+    # normalising every row took 482 to 507, and clearing each new pivot
+    # from the earlier rows as well took 891 to 1,010.
     p = 5
     A = rational_algebra(p)
     rng = random.Random(5)
@@ -646,9 +647,7 @@ def test_inverse_in_fx_is_the_product_of_the_other_shifts_over_the_norm(p):
     rng = random.Random(41 + p)
     for _ in range(4):
         u = random_fx_element(rng, A)
-        others = A.one()
-        for i in range(1, p):
-            others = A.mul(others, A.shift_x(u, i))
+        others = shifts_product(A, u, first=1)
         assert A.inverse(u) == A.scale(A.field.one() / A.norm_Fx(u), others)
 
 
@@ -781,6 +780,18 @@ def test_laurent_inverse_of_general_elements_is_certified_or_undecided(p):
     assert decided >= {2: 63, 3: 63, 5: 61}[p]
 
 
+def test_laurent_inverse_through_an_exact_cancellation():
+    # h_1 * t cancels a term pair of its x coefficient exactly; that exact
+    # zero once lowered the coefficient's lb to 0, so the leading term of
+    # c = Nrd(t) was not certified and the inverse was undecided
+    p = 3
+    rat, lau = FieldDescriptor("rational", p), FieldDescriptor("laurent", p, 8)
+    R, L = (make_algebra(p, parse_scalar("1/(1+a)", f), f.gen("b"), f) for f in (rat, lau))
+    a, b = rat.gen("a"), rat.gen("b")
+    t = R.from_entries({(1, 0): b, (2, 0): a * b})
+    _agrees_on_certified_terms(L.inverse(_laurent_copy(L, t)), R.inverse(t))
+
+
 @pytest.mark.parametrize("text", ["1/(1+a)", "1/(1/(1+b) - 1)"])
 def test_laurent_element_inverse_of_a_scalar_is_the_scalar_inverse(text):
     # a scalar element takes the scalar inverse: dividing tail by c = t^p
@@ -904,6 +915,71 @@ def test_norm_rejections():
         A.norm_Fx(A.y())
     with pytest.raises(ZeroElement):
         A.norm_Fx(A.zero())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_norm_is_the_product_of_the_shifts(p):
+    # norm_Fx reads the reduced norm off the Horner sums; the product of the
+    # p shifts u(x + i) is the closed form it must agree with, exactly over
+    # F_p(a, b) and exact Laurent data, on every certified term otherwise
+    rat = FieldDescriptor("rational", p)
+    lau = FieldDescriptor("laurent", p, 8)
+    algebras = [
+        make_algebra(p, parse_scalar(alpha, field), parse_scalar(beta, field), field)
+        for field, alpha, beta in (
+            (rat, "a", "b"), (rat, "a/b", "1/(a+b)"), (rat, "0", "b"), (lau, "a", "b"),
+        )
+    ]
+    rng = random.Random(61 + p)
+    zero_norms = 0
+    for A in algebras:
+        # in the split [0, b), N(x + i) = alpha = 0
+        draws = [A.x() + A.scalar(i) for i in range(p)]
+        draws += [random_fx_element(rng, A) for _ in range(4)]
+        for u in draws:
+            norm = A.norm_Fx(u)
+            assert A.scalar(norm) == shifts_product(A, u)
+            zero_norms += norm.is_zero()
+    assert zero_norms >= p
+    # inexact Laurent coefficients, where the two routes track different
+    # windows.  The norm c^p of a series scalar is decided; c + x leaves its
+    # off-diagonal coefficients at 0 + O(a^k), so its norm is undecided on
+    # both routes, and the Horner product h_(p-1)(u) * u is compared
+    # instead, with the shifts and with the exact norm over F_p(a, b)
+    L, R = algebras[-1], algebras[0]
+    c = L.scalar(parse_scalar("1/(1+a)", lau))
+    norm = L.norm_Fx(c)
+    assert norm.terms and L.certified_equal(L.scalar(norm), shifts_product(L, c))
+    u = c + L.x()
+    with pytest.raises(PrecisionExhausted):
+        L.norm_Fx(u)
+    right = L._horner_sums(u)[1]
+    assert right.coeff(0, 0).terms
+    assert L.certified_equal(right, shifts_product(L, u))
+    exact = R.norm_Fx(R.scalar(parse_scalar("1/(1+a)", rat)) + R.x())
+    _agrees_on_certified_terms(right, R.scalar(exact))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_norm_makes_p_minus_1_products_and_no_shift(monkeypatch, p):
+    # the Horner recurrence makes p - 1 element products and one RatFunc
+    # product per s_k: 2, 4 and 6 here.  Multiplying the p binomially
+    # expanded shifts u(x + i) made the same element products and 2 to 10,
+    # 28 to 40 and 108 to 120 RatFunc products for these draws.
+    A = rational_algebra(p)
+    rng = random.Random(7 + p)
+    products = []
+    mul = algebra_module.SymbolAlgebra.mul
+    monkeypatch.setattr(algebra_module.SymbolAlgebra, "mul",
+                        lambda B, s, t: products.append(1) or mul(B, s, t))
+    scalar_products = _count_calls(monkeypatch, RatFunc, ("__mul__",))
+    for _ in range(3):
+        u = random_fx_element(rng, A, max_degree=2)
+        products.clear()
+        scalar_products.clear()
+        A.norm_Fx(u)
+        assert len(products) == p - 1
+        assert len(scalar_products) <= p - 1
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

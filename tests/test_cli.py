@@ -206,6 +206,32 @@ def test_laurent_lemma_hypothesis_is_decided_on_certified_terms(capsys):
     assert "HypothesisFails" not in err
 
 
+LEMMA_WITH_A_SERIES = ("verify-lemma", "--x", "x", "--t", "(1/(1+a) + x)*y", "--beta", "b")
+
+
+@pytest.mark.parametrize("p, alpha, window", [
+    (p, alpha, window) for p in (2, 3, 5) for alpha in ("a", "0") for window in (5, 8)
+    if (p, alpha, window) != (2, "a", 5)
+])
+def test_laurent_lemma_with_a_series_coefficient_passes(capsys, p, alpha, window):
+    # the shift check inverts scalars whose tracked lower bound la is loose;
+    # the series inverse once gave up every a-bound on them, its check product
+    # certified no term and the lemma was undecided where the rational field
+    # passes
+    argv = (*LEMMA_WITH_A_SERIES, "-p", str(p), "--alpha", alpha)
+    assert run(capsys, *argv)[0] == 0
+    code, out, _ = run(capsys, *argv, "--field", "laurent", "--precision", str(window))
+    assert code == 0
+    assert out.endswith("result: PASS\n")
+
+
+def test_laurent_lemma_with_a_series_coefficient_stays_undecided_at_p2_window_5(capsys):
+    code, out, err = run(capsys, *LEMMA_WITH_A_SERIES, "-p", "2", "--alpha", "a",
+                         "--field", "laurent", "--precision", "5")
+    assert (code, out) == (1, "")
+    assert err == "palgebra: PrecisionExhausted: window too small to certify the inverse\n"
+
+
 def test_scale_computes_the_norm_once(capsys, monkeypatch):
     calls = []
     norm_Fx = SymbolAlgebra.norm_Fx

@@ -262,6 +262,35 @@ def test_inverse_reads_the_leading_term_as_valuation_does(p, text):
     assert inv.terms == laurent_expansion(1 / parse_scalar(text, rat), 40, inv.hb)
 
 
+def test_adding_an_exact_zero_keeps_the_lower_bounds():
+    # an exact zero bounds nothing; a sum with one once lowered la and lb to
+    # 0, and products whose term pairs cancel exactly then lost their bounds
+    field = FieldDescriptor("laurent", 3, 8)
+    x = parse_scalar("a^2*b^2/(1+a)", field)
+    assert (x.la, x.lb) == (2, 2)
+    for s in (x + field.zero(), field.zero() + x):
+        assert s == x and (s.la, s.lb) == (2, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_inverse_bounds_its_correction_by_the_stored_terms(p):
+    # c = a^3*b + a^5*b + a^7*b + O(a^8) stores a loose la = 0, so the
+    # correction w = c/(a^3 b) - 1 tracks la = -3; with hb infinite its
+    # unstored terms have ea >= 5, so its support starts at a^2.  The inverse
+    # once took la = -inf from w, and c * (1/c) then certified no term.
+    c = LaurentScalar(p, 8, {(3, 1): 1, (5, 1): 1, (7, 1): 1}, ha=8, lb=1)
+    assert c.la == 0
+    inv = c.inverse()
+    assert inv.la > -INF
+    prod = c * inv
+    assert prod.coefficient(0, 0) == 1
+    # a^3*b/(1 - a^2) is a value with exactly c's certified terms
+    exact = parse_scalar("a^3*b/(1-a^2)", FieldDescriptor("rational", p))
+    assert c.terms == laurent_expansion(exact, 8, 40)
+    assert inv.terms == laurent_expansion(1 / exact, inv.ha, 40)
+    assert prod.terms == {(0, 0): 1}
+
+
 def test_laurent_zero_division_and_precision_errors():
     field = LAU[2]
     one = field.one()
