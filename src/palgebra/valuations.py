@@ -4,7 +4,8 @@ For a symbol algebra over the bi-Laurent field whose left slot is a unit
 with nonzero residue (so the x-generator is unramified) and whose right
 slot has value not divisible by p in at least one coordinate, the value
 of an element is computed Gauss-style: the minimum of coefficient value
-plus j*v(y) over the nonzero grid entries (i, j).  The p cosets of j*v(y)
+plus j*v(y) over the nonzero grid entries (i, j), taken on integer pairs
+scaled by p, with one Value built per call.  The p cosets of j*v(y)
 modulo Z^2 are pairwise distinct, which keeps the minimum honest; the
 multiplicativity property tests are the operational justification.
 
@@ -25,7 +26,7 @@ from .errors import (
     UnsupportedSlot,
     ZeroValue,
 )
-from .fields import FieldDescriptor, Value, certified_equal, valuation
+from .fields import FieldDescriptor, Value, _certified_leading, certified_equal
 from .sampling import random_fx_element
 
 
@@ -76,19 +77,19 @@ class ValueGroupReport:
 class ValuedAlgebra:
     """A symbol algebra over F_p((a))((b)) carrying its Gauss valuation."""
 
-    __slots__ = ("algebra", "v_y")
+    __slots__ = ("algebra", "v_y", "_beta_exp")
 
     def __init__(self, algebra: SymbolAlgebra):
         if algebra.field.kind != "laurent":
             raise UnsupportedSlot("valuations need a Laurent base field")
-        beta_val = valuation(algebra.beta)
-        if beta_val.va % algebra.p == 0 and beta_val.vb % algebra.p == 0:
+        va, vb = self._beta_exp = _leading(algebra.beta)
+        if va % algebra.p == 0 and vb % algebra.p == 0:
             raise UnsupportedSlot("v(beta) is divisible by p; cosets of j*v(y) collapse")
         self.algebra = algebra
-        self.v_y = beta_val.divided_by(algebra.p)
+        self.v_y = Value.of(va, vb).divided_by(algebra.p)
         # a value (0, 0) is a certified leading term a^0 b^0: a nonzero residue
         try:
-            alpha_unit = valuation(algebra.alpha) == Value.of(0, 0)
+            alpha_unit = _leading(algebra.alpha) == (0, 0)
         except ZeroValue:
             alpha_unit = False
         if not alpha_unit:
@@ -97,16 +98,20 @@ class ValuedAlgebra:
             )
 
     def gauss_value(self, t: AlgElement) -> Value:
-        """Minimum of v(c_ij) + j*v(y) over the support of t."""
+        """Minimum of v(c_ij) + j*v(y) over the support of t, compared as
+        the integer key p*(v(c_ij) + j*v(y)), b first; one Value is built."""
         self.algebra._check(t)
+        p = self.algebra.p
+        va, vb = self._beta_exp
         best = None
         for (_, j), c in t.support():
-            v = valuation(c) + self.v_y * j
-            if best is None or v < best:
-                best = v
+            ea, eb = _leading(c)
+            key = (p * eb + j * vb, p * ea + j * va)
+            if best is None or key < best:
+                best = key
         if best is None:
             raise ZeroValue("the zero element has no value")
-        return best
+        return Value(Fraction(best[1], p), Fraction(best[0], p))
 
     def residue(self, t: AlgElement) -> ResiduePoly:
         """Residue of a unit-value element as a polynomial in xbar."""
@@ -118,7 +123,7 @@ class ValuedAlgebra:
         for (i, j), c in t.support():
             if j != 0:
                 continue  # carries a fractional value component, drops to 0
-            if valuation(c) == Value.of(0, 0):
+            if _leading(c) == (0, 0):
                 coeffs[i] = c.coefficient(0, 0)
         return ResiduePoly.make(p, slot_res, coeffs)
 
@@ -128,7 +133,7 @@ class ValuedAlgebra:
         if len(beta.terms) != 1 or not beta.exact:
             raise UnsupportedSlot("value group reporting needs a monomial right slot")
         p = self.algebra.p
-        basis_int = _value_lattice(p, int(self.v_y.va * p), int(self.v_y.vb * p))
+        basis_int = _value_lattice(p, *self._beta_exp)
         basis = tuple(
             Value(Fraction(u, p), Fraction(v, p)) for u, v in basis_int
         )
@@ -137,6 +142,11 @@ class ValuedAlgebra:
             basis=basis,
             description=_describe_lattice(basis),
         )
+
+
+def _leading(c):
+    """v(c) as the int pair (ea, eb), raising as fields.valuation does."""
+    return _certified_leading(c, ZeroValue("the zero scalar has no value"))
 
 
 def _value_lattice(p, u, w):

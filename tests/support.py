@@ -1,11 +1,12 @@
 """Shared helpers for the test suite: the source path, the samplers, the
 per-coefficient product oracle, the dense inverse oracle, the shifts in
-F[x], the Laurent expansion oracle and the general two-column Hermite form."""
+F[x], the Laurent expansion oracle, the general two-column Hermite form
+and the Gauss value in Fraction arithmetic."""
 
 from math import comb, gcd
 from pathlib import Path
 
-from palgebra import NotInvertible, WitnessVerificationFailed
+from palgebra import NotInvertible, WitnessVerificationFailed, ZeroValue, valuation
 from palgebra.sampling import random_monomial_scalar, random_poly_scalar
 
 # subprocesses run ``python -m palgebra.cli`` from here, so they import this
@@ -245,3 +246,17 @@ def hermite_2col(rows):
     if d1 < 0:
         d1, v1 = -d1, -v1
     return [(d1, v1 % d2), (0, d2)]
+
+
+def gauss_value_reference(va, t):
+    """ValuedAlgebra.gauss_value as it was computed on Values: each stored
+    coefficient's valuation plus j*v(y), added and compared as Fractions."""
+    va.algebra._check(t)
+    best = None
+    for (_, j), c in t.support():
+        v = valuation(c) + va.v_y * j
+        if best is None or v < best:
+            best = v
+    if best is None:
+        raise ZeroValue("the zero element has no value")
+    return best

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from palgebra import (
+    AlgElement,
     FieldDescriptor,
     NotUnitValue,
     UnsupportedSlot,
@@ -14,10 +15,13 @@ from palgebra import (
     ZeroValue,
     counterexample_check,
     make_algebra,
+    valuation,
+    valuations,
 )
+from palgebra.sampling import random_poly_scalar
 from palgebra.valuations import ResiduePoly, _value_lattice
 
-from support import hermite_2col, random_element
+from support import gauss_value_reference, hermite_2col, random_element
 
 
 def laurent_field(p, precision=8):
@@ -91,6 +95,69 @@ def test_value_of_pth_power(p):
         if t.is_zero():
             continue
         assert va.gauss_value(A.power(t, p)) == va.gauss_value(t) * p
+
+
+def _outcome(f, *args):
+    """The value f returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_gauss_value_matches_fraction_reference(p):
+    """The integer-key minimum against the Fraction loop, on exact
+    polynomial and Laurent coefficients, on series from inverses at
+    windows 4 and 8, and on coefficients the window does not certify."""
+    for precision in (4, 8):
+        field = laurent_field(p, precision)
+        one, a, b = field.one(), field.gen("a"), field.gen("b")
+        # 0 + O(a^w) stores no term; adding b leaves its leading b^1 uncertified
+        no_term = (one + a).inverse() - (one + a).inverse()
+        samplers = (
+            lambda r: random_poly_scalar(r, field, max_degree=2),
+            lambda r: random_poly_scalar(r, field, max_degree=2) * a.inverse(),
+            lambda r: random_poly_scalar(r, field, max_degree=2)
+            * (one + random_poly_scalar(r, field, max_degree=2, nonzero=True) * a).inverse(),
+        )
+        for left, right in ((one, a), (one, b), (one + a, a)):
+            va = ValuedAlgebra(make_algebra(p, left, right, field))
+            A = va.algebra
+            rng = random.Random(1300 + 10 * p + precision)
+            cases = [A.zero(), A.from_entries({(0, 0): one, (1, 1): no_term}),
+                     A.from_entries({(1, 0): a, (0, 1): no_term + b})]
+            for sample in samplers:
+                cases += [random_element(rng, A, density=0.4, sample=sample) for _ in range(6)]
+            for _ in range(2):
+                inv = _outcome(A.inverse, random_element(rng, A, density=0.3, max_degree=1))
+                if isinstance(inv, AlgElement):
+                    cases.append(inv)
+            for t in cases:
+                assert _outcome(va.gauss_value, t) == _outcome(gauss_value_reference, va, t)
+
+
+def test_gauss_value_makes_no_valuation_call(monkeypatch):
+    """25 stored coefficients at p = 5 are valued without fields.valuation,
+    which used to run once per coefficient."""
+    va = valued(5, "a")
+    A = va.algebra
+    rng = random.Random(1400)
+    t = A.from_entries({
+        (i, j): random_poly_scalar(rng, A.field, max_degree=2, nonzero=True)
+        for i in range(5) for j in range(5)
+    })
+    assert len(t.support()) == 25
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return valuation(c)
+
+    # raising=False: the count holds whether or not valuations imports the name
+    monkeypatch.setattr(valuations, "valuation", counted, raising=False)
+    assert va.gauss_value(t) == gauss_value_reference(va, t)
+    assert calls == []
 
 
 # --- residues ------------------------------------------------------------------
