@@ -280,8 +280,11 @@ class SymbolAlgebra:
 
     def scale(self, c, t):
         """Multiply by a central scalar."""
+        self._check(t)
         if isinstance(c, int):
             c = self.field.from_int(c)
+        if not self.field.owns(c):
+            raise ValueError("scalar does not belong to the base field")
         return self._grid({ij: c * e for ij, e in t.entries.items()})
 
     def power(self, t, n):

@@ -64,6 +64,25 @@ def test_from_entries_rejects_scalars_of_another_field():
     assert A.from_entries({(1, 0): lau.gen("a"), (0, 1): 2}).coeff(0, 1) == lau.from_int(2)
 
 
+def test_scale_rejects_an_element_of_another_algebra():
+    # [a, b)_3 and [b, a)_3 share their field; scale once returned 2*x in A
+    A = rational_algebra(3)
+    B = make_algebra(3, A.field.gen("b"), A.field.gen("a"), A.field)
+    with pytest.raises(ValueError, match="different algebra"):
+        A.scale(2, B.x())
+    assert A.scale(2, A.x()) == A.add(A.x(), A.x())
+
+
+def test_scale_rejects_a_scalar_of_another_field():
+    # these once failed from inside the product, with a TypeError and with
+    # "mixed characteristics"
+    A = rational_algebra(3)
+    for foreign in (FieldDescriptor("laurent", 3, 8).gen("a"),
+                    FieldDescriptor("rational", 5).gen("a")):
+        with pytest.raises(ValueError, match="base field"):
+            A.scale(foreign, A.x())
+
+
 def test_elements_do_not_depend_on_entry_order_or_explicit_zeros():
     A = rational_algebra(3)
     a = A.field.gen("a")
@@ -550,6 +569,24 @@ def test_inverse_reduces_each_power_forward_only(monkeypatch):
         calls.clear()
         A.inverse(t)
         assert len(calls) <= 30
+
+
+def test_sparse_p5_inverse_with_quadratic_coefficients(monkeypatch):
+    # 12 coefficients of degree at most 2 in a and b: 27 gcds and 0.04 s on
+    # a 2-core machine.  When inverses eliminated over the powers it took
+    # 511 gcds and 147 s
+    p = 5
+    A = rational_algebra(p)
+    t = random_element(random.Random(1), A, density=0.6, sample=lambda r: random_poly_scalar(
+        r, A.field, max_degree=2, max_terms=3, nonzero=True))
+    assert len(t.entries) == 12
+    calls = []
+    gcd = polys.p_gcd
+    monkeypatch.setattr(polys, "p_gcd", lambda f, g, q: calls.append(1) or gcd(f, g, q))
+    s = A.inverse(t)
+    assert len(calls) <= 60
+    monkeypatch.undo()
+    assert A.mul(s, t) == A.one() and A.mul(t, s) == A.one()
 
 
 def test_inverse_of_u_y_power_divides_no_basis_row(monkeypatch):

@@ -1,13 +1,16 @@
-"""CLI behavior: verbs, exit codes, JSON output, golden transcripts."""
+"""CLI behavior: verbs, exit codes, JSON output, golden transcripts and the
+table of command-line contracts."""
 
 import argparse
 import json
 import random
 import re
+import shlex
 import string
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -261,60 +264,6 @@ def test_algebras_built_per_call(capsys, monkeypatch, argv, built):
     assert len(calls) == built
 
 
-def test_laurent_slot_with_a_non_monomial_denominator(capsys):
-    code, out, _ = run(capsys, "identity", "-p", "7", "--alpha", "a", "--beta", "1/(a+b)",
-                       "--field", "laurent")
-    assert code == 0
-    assert out.endswith("result: PASS\n")
-
-
-@pytest.mark.parametrize("argv", [
-    ("link", "-p", "2", "--alpha", "a", "--gamma", "1/(1+a)", "--beta", "b"),
-    ("link", "-p", "3", "--alpha", "1/(1+a)", "--gamma", "a", "--beta", "b"),
-    ("scale", "-p", "3", "--alpha", "1", "--beta", "a", "--u", "1/(1+a) + x",
-     "--precision", "5"),
-])
-def test_undecided_laurent_witness_is_precision_exhausted(capsys, argv):
-    # an off-diagonal coefficient with no certified term is not evidence that
-    # w^p or a norm is not a scalar: the window is too small, not the maths wrong
-    code, _, err = run(capsys, *argv, "--field", "laurent")
-    assert code == 1
-    assert err.startswith("palgebra: PrecisionExhausted:")
-
-
-def test_laurent_slot_equal_to_one_up_to_its_window(capsys):
-    # beta = (1+a)/(1+a) = 1 + O(a^5): inverting it once raised OverflowError
-    code, out, err = run(capsys, "link", "-p", "3", "--alpha", "a", "--gamma", "a+b",
-                         "--beta", "(1+a)/(1+a)", "--field", "laurent", "--precision", "5")
-    assert (code, out) == (1, "")
-    assert err.startswith("palgebra: PrecisionExhausted:")
-
-
-def test_laurent_inverse_with_no_certified_check_exits_1(capsys):
-    # at window 1 the check products certify no term at all, so the inverse
-    # is undecided; it once printed a normal form and "result: PASS"
-    code, out, err = run(capsys, "eval", "-p", "3", "--alpha", "1", "--beta", "a",
-                         "--field", "laurent", "--precision", "1", "--expr",
-                         "1/(a + a*y + b*x*y + a*x*y^2 + a*x^2 + b*x^2*y^2)")
-    assert (code, out) == (1, "")
-    assert err == "palgebra: PrecisionExhausted: window too small to certify the inverse\n"
-
-
-def test_zero_divisor_generator_exits_1(capsys):
-    # N(x) = x^2 + x = 0 in [0, b)_2, so w = x y is nilpotent
-    code, _, err = run(capsys, "scale", "-p", "2", "--alpha", "0", "--beta", "b", "--u", "x")
-    assert code == 1
-    assert err == "palgebra: NotInvertible: element is a zero divisor\n"
-
-
-@pytest.mark.parametrize("u", ["y", "x*y", "0", "x-x"])
-def test_scale_u_outside_fx_or_zero_exit_2(capsys, u):
-    # N(u) is defined only for a nonzero u in F[x]: any other u is bad input
-    code, out, err = run(capsys, "scale", "-p", "3", "--alpha", "a", "--beta", "b", "--u", u)
-    assert (code, out) == (2, "")
-    assert err.startswith("palgebra: invalid input: --u must be a nonzero element of F[x]")
-
-
 def test_main_builds_its_parser_once(capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -367,137 +316,8 @@ def test_json_key_order_stable(capsys):
 
 
 # --- exit codes -------------------------------------------------------------------------
-
-def test_usage_error_exit_2(capsys):
-    assert run(capsys, "link", "-p", "2")[0] == 2  # missing required flags
-    assert run(capsys, "nonsense")[0] == 2
-    assert run(capsys)[0] == 2
-
-
-def test_syntax_error_exit_2(capsys):
-    code, _, err = run(capsys, "eval", "-p", "2", "--alpha", "a", "--beta", "b",
-                       "--expr", "x^")
-    assert code == 2
-    assert "syntax error" in err
-    # digits and letters of other scripts are no tokens
-    for expr, offset in (("2²", 1), ("a^٣", 2)):
-        code, out, err = run(capsys, "eval", "-p", "3", "--alpha", "a", "--beta", "b",
-                             "--expr", expr)
-        assert (code, out) == (2, "")
-        assert err == (f"palgebra: syntax error: unexpected character {expr[offset]!r} "
-                       f"(at offset {offset})\n")
-
-
-def test_deep_nesting_exit_2(capsys):
-    code, _, err = run(capsys, "eval", "-p", "3", "--alpha", "a", "--beta", "b",
-                       "--expr=" + "-" * 3000 + "x")
-    assert code == 2
-    assert "nested deeper" in err
-    proc = subprocess.run(
-        [sys.executable, "-m", "palgebra.cli", "eval", "-p", "3",
-         "--alpha", "(" * 3000 + "a" + ")" * 3000, "--beta", "b", "--expr", "x"],
-        capture_output=True, text=True, cwd=SRC,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("palgebra: syntax error:")
-    assert "Traceback" not in proc.stderr
-
-
-def test_large_exponent_exit_2(capsys):
-    # (1+a+b)^2186 took 8 s at p = 3 before exponents were bounded
-    code, out, err = run(capsys, "eval", "-p", "3", "--alpha", "a", "--beta", "b",
-                         "--expr", "x", "--let", "q=(1+a+b)^2186")
-    assert (code, out) == (2, "")
-    assert err.startswith("palgebra: syntax error: exponent 2186 is larger than")
-    code, out, err = run(capsys, "eval", "-p", "7", "--alpha", "a", "--beta", "b",
-                         "--expr", "(x+a)^500")
-    assert (code, out) == (2, "")
-
-
-@pytest.mark.parametrize("argv", [
-    ["--expr", "((1+a+b)^20)^10"],
-    ["--let", "q=(1+a+b)^20", "--expr", "q^10"],
-], ids=["nested", "let"])
-def test_power_of_a_power_exit_2(capsys, argv):
-    # both are (1+a+b)^200, over 8 s at p = 10007 with each exponent
-    # bounded on its own
-    code, out, err = run(capsys, "eval", "-p", "10007", "--alpha", "a", "--beta", "b", *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("palgebra: syntax error: power of degree 200 is larger than 100")
-
-
-def test_power_at_the_degree_bound_is_accepted(capsys):
-    code, _, _ = run(capsys, "eval", "-p", "10007", "--alpha", "a", "--beta", "b",
-                     "--expr", "(1+a+b)^100")
-    assert code == 0
-
-
-@pytest.mark.parametrize("let, message", [
-    # a, b, x, y already name the indeterminates and the generators
-    ("a=b", "--let cannot rebind the built-in name 'a'"),
-    ("b=a", "--let cannot rebind the built-in name 'b'"),
-    ("x=a", "--let cannot rebind the built-in name 'x'"),
-    (" y =a", "--let cannot rebind the built-in name 'y'"),
-    # no expression can refer to a name that is not an identifier
-    ("1q=a", "malformed --let binding '1q=a': expected NAME=EXPR"),
-    ("q r=a", "malformed --let binding 'q r=a': expected NAME=EXPR"),
-    ("=a", "malformed --let binding '=a': expected NAME=EXPR"),
-    ("q", "malformed --let binding 'q': expected NAME=EXPR"),
-    # the tokenizer reads only ASCII names, so expressions could not refer to it
-    ("é=a", "malformed --let binding 'é=a': expected NAME=EXPR"),
-], ids=["a", "b", "x", "y", "digit-first", "space", "no-name", "no-expr", "non-ascii"])
-def test_let_binds_only_new_identifiers_exit_2(capsys, let, message):
-    code, out, err = run(capsys, "eval", "-p", "3", "--alpha", "a", "--beta", "b",
-                         "--let", let, "--expr", "a*x")
-    assert (code, out) == (2, "")
-    assert err == f"palgebra: invalid input: {message}\n"
-
-
-def test_precision_over_a_rational_field_is_invalid_input(capsys):
-    # a flag is not an expression, so the error carries no offset
-    code, out, err = run(capsys, "eval", "-p", "3", "--alpha", "a", "--beta", "b",
-                         "--expr", "x", "--precision", "5")
-    assert (code, out) == (2, "")
-    assert err == "palgebra: invalid input: --precision only applies to laurent fields\n"
-
-
-def test_math_failure_exit_1(capsys):
-    # beta = 0 names no algebra: the input is at fault, not the mathematics,
-    # so it is a usage error (exit 2) that still names InvalidSlot
-    code, _, err = run(capsys, "identity", "-p", "2", "--alpha", "a", "--beta", "a-a")
-    assert code == 2
-    assert "InvalidSlot" in err
-
-
-@pytest.mark.parametrize("argv", [
-    ["link", "-p", "3", "--alpha", "a", "--gamma", "a+b", "--beta", "0"],
-    ["verify-lemma", "-p", "3", "--alpha", "a", "--beta", "0", "--x", "x", "--t", "y"],
-    ["decompose", "-p", "3", "--alpha", "a", "--beta", "0", "--t", "x"],
-    ["identity", "-p", "3", "--alpha", "a", "--beta", "0"],
-    ["scale", "-p", "3", "--alpha", "a", "--beta", "0", "--u", "x"],
-    ["eval", "-p", "3", "--alpha", "a", "--beta", "0", "--expr", "x"],
-], ids=lambda argv: argv[0])
-def test_zero_right_slot_exit_2(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err == "palgebra: invalid input: InvalidSlot: the right slot must be nonzero\n"
-
-
-@pytest.mark.parametrize("argv", [
-    ["eval", "-p", "4", "--alpha", "a", "--beta", "b", "--expr", "x"],
-    ["link", "-p", "1", "--alpha", "a", "--gamma", "a+b", "--beta", "b"],
-    ["identity", "-p", "0", "--alpha", "a", "--beta", "b"],
-    ["decompose", "-p", "9", "--alpha", "a", "--beta", "b", "--t", "x"],
-    ["counterexample", "-p", "6"],
-])
-def test_non_prime_p_exit_2(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err == f"palgebra: invalid input: InvalidPrime: {argv[2]} is not prime\n"
-
+# These two run in-process because they patch the library; every other
+# exit-code case is a row of CONTRACTS below.
 
 @pytest.mark.parametrize("verb", ["eval", "counterexample"])
 @pytest.mark.parametrize("p", [10**18 + 3, 65537])
@@ -516,28 +336,6 @@ def test_p_above_max_prime_exit_2_before_primality(capsys, monkeypatch, verb, p)
                    f"the largest supported prime 65536\n")
 
 
-@pytest.mark.parametrize("argv, cause", [
-    (["identity", "-p", "3", "--alpha", "1/(a-a)", "--beta", "b"], "DivisionByZero"),
-    (["eval", "-p", "3", "--alpha", "a", "--beta", "b", "--let", "q=b/(b-b)", "--expr", "x"],
-     "DivisionByZero"),
-    (["eval", "-p", "3", "--alpha", "a", "--beta", "b", "--expr", "1/(x-x)"], "NotInvertible"),
-    # [0, 1)_2 is split: 1 + x is a zero divisor there
-    (["eval", "-p", "2", "--alpha", "0", "--beta", "1", "--expr", "y/(1+x)"], "NotInvertible"),
-])
-def test_division_by_zero_in_input_exit_2(capsys, argv, cause):
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"palgebra: invalid input: {cause}: ")
-
-
-def test_degenerate_link_exit_1(capsys):
-    code, _, err = run(capsys, "link", "-p", "2", "--alpha", "0", "--gamma", "0",
-                       "--beta", "1")
-    assert code == 1
-    assert "InvalidSlot" in err
-
-
 def test_argv_fuzzing_never_crashes(capsys):
     rng = random.Random(4)
     verbs = ["link", "eval", "identity", "scale", "counterexample", "bogus", "--json", "-p"]
@@ -553,3 +351,260 @@ def test_argv_fuzzing_never_crashes(capsys):
             code = exc.code
         capsys.readouterr()
         assert code in (0, 1, 2)
+
+
+# --- command-line contracts ---------------------------------------------------------------
+# Each row is a command line, split as a POSIX shell splits it and run as
+# ``python -m palgebra.cli`` in a subprocess.  It must finish within the
+# row's budget in seconds, print no traceback, exit with the row's code and
+# print what the row expects on stdout and stderr: a string is the exact
+# text, a compiled pattern is searched for in it, None checks nothing.  A
+# list of rows is one test and a dict one test per row, named by its key;
+# names and keys are those of the tests that the rows replaced.
+
+
+class Contract(NamedTuple):
+    command: str
+    code: int
+    out: str | re.Pattern | None = None
+    err: str | re.Pattern | None = None
+    budget: float = 10
+
+
+def run_contract(contract):
+    command, code, out, err, budget = contract
+    proc = subprocess.run([sys.executable, "-m", "palgebra.cli", *shlex.split(command)],
+                          capture_output=True, text=True, cwd=SRC, timeout=budget)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == code, (command, proc.stderr)
+    for expected, text in ((out, proc.stdout), (err, proc.stderr)):
+        if isinstance(expected, re.Pattern):
+            assert expected.search(text), (command, text)
+        elif expected is not None:
+            assert text == expected, (command, text)
+
+
+INVALID = "palgebra: invalid input: "
+SYNTAX = "palgebra: syntax error: "
+EXHAUSTED = re.compile("^palgebra: PrecisionExhausted:")
+
+CONTRACTS = {
+    # the cap is read before any primality test, which would not finish
+    "capped_p_exits_2_at_once": {
+        p: Contract(f'eval -p {p} --alpha a --beta b --expr "x*y"', 2, "",
+                    f"{INVALID}InvalidPrime: {p} exceeds the largest supported prime 65536\n")
+        for p in ("1000000000000000003", "65537")
+    },
+    # dense in p: 0.2 s, 1.3 s and 1.5 s on a 2-core machine
+    "dense_in_p_inverses_finish": {
+        "p53": Contract('eval -p 53 --alpha a --beta b --expr "1/(x+y)"', 0, budget=120),
+        "p101": Contract('eval -p 101 --alpha a --beta b --expr "1/(x+y)"', 0, budget=60),
+        "p53-dense": Contract('eval -p 53 --alpha a --beta b --expr "1/(x*y+b*x+1)"', 0,
+                              budget=60),
+    },
+    # the shift check inverts Laurent scalars whose tracked lower bound is loose
+    "laurent_lemma_inverse_finishes": [
+        Contract('verify-lemma -p 3 --x x --t "(1/(1+a) + x)*y" --alpha a --beta b '
+                 '--field laurent --precision 8', 0, budget=60),
+    ],
+    # over slots with denominators (x+y)^5 takes power's undivided chain and
+    # (x+y)^8 divides at every product; (x+y)^100 takes 1.9 s
+    "rational_slot_powers_finish": {
+        f"p{p}-{n}": Contract(f'eval -p {p} --alpha a/b --beta "1/(a+b)" --expr "(x+y)^{n}"', 0,
+                              budget=60)
+        for p, n in ((3, 100), (5, 5), (5, 8))
+    },
+    # no other test runs the family check above p = 5
+    "family_check_at_p7_finishes": {
+        key: Contract("counterexample -p 7 --precision 8 --samples 10 --seed 1" + flags, 0,
+                      budget=60)
+        for key, flags in (("text", ""), ("json", " --json"))
+    },
+    "laurent_slot_with_a_non_monomial_denominator": [
+        Contract('identity -p 7 --alpha a --beta "1/(a+b)" --field laurent', 0,
+                 re.compile(r"result: PASS\n\Z")),
+    ],
+    # still open (CHANGES.md's FOUND line on Laurent slots with a non-monomial
+    # denominator): a fix flips this row to exit 0
+    "laurent_link_with_a_non_monomial_denominator_exit_1": [
+        Contract('link -p 7 --alpha a/b --gamma a/b+a --beta "1/(a+b)" --field laurent', 1, "",
+                 "palgebra: PrecisionExhausted: cannot bound the inverse's support\n"),
+    ],
+    # an off-diagonal coefficient with no certified term is not evidence that
+    # w^p or a norm is not a scalar: the window is too small, not the maths wrong
+    "undecided_laurent_witness_is_precision_exhausted": {
+        f"argv{i}": Contract(command + " --field laurent", 1, err=EXHAUSTED)
+        for i, command in enumerate([
+            'link -p 2 --alpha a --gamma "1/(1+a)" --beta b',
+            'link -p 3 --alpha "1/(1+a)" --gamma a --beta b',
+            'scale -p 3 --alpha 1 --beta a --u "1/(1+a) + x" --precision 5',
+        ])
+    },
+    # beta = (1+a)/(1+a) = 1 + O(a^5): inverting it once raised OverflowError
+    "laurent_slot_equal_to_one_up_to_its_window": [
+        Contract('link -p 3 --alpha a --gamma a+b --beta "(1+a)/(1+a)" --field laurent '
+                 '--precision 5', 1, "", EXHAUSTED),
+    ],
+    # at window 1 the check products certify no term at all, so the inverse
+    # is undecided; it once printed a normal form and "result: PASS"
+    "laurent_inverse_with_no_certified_check_exits_1": [
+        Contract('eval -p 3 --alpha 1 --beta a --field laurent --precision 1 '
+                 '--expr "1/(a + a*y + b*x*y + a*x*y^2 + a*x^2 + b*x^2*y^2)"', 1, "",
+                 "palgebra: PrecisionExhausted: window too small to certify the inverse\n"),
+    ],
+    # N(x) = x^2 + x = 0 in [0, b)_2, so w = x y is nilpotent
+    "zero_divisor_generator_exits_1": [
+        Contract("scale -p 2 --alpha 0 --beta b --u x", 1,
+                 err="palgebra: NotInvertible: element is a zero divisor\n"),
+    ],
+    # N(u) is defined only for a nonzero u in F[x]: any other u is bad input
+    "scale_u_outside_fx_or_zero_exit_2": {
+        u: Contract(f'scale -p 3 --alpha a --beta b --u "{u}"', 2, "",
+                    re.compile(rf"^{INVALID}--u must be a nonzero element of F\[x\]"))
+        for u in ("y", "x*y", "0", "x-x")
+    },
+    "usage_error_exit_2": [
+        Contract("link -p 2", 2),  # missing required flags
+        Contract("nonsense", 2),
+        Contract("", 2),
+    ],
+    "syntax_error_exit_2": [
+        Contract("eval -p 2 --alpha a --beta b --expr x^", 2, err=re.compile("syntax error")),
+        # digits and letters of other scripts are no tokens
+        *(Contract(f"eval -p 3 --alpha a --beta b --expr {expr}", 2, "",
+                   f"{SYNTAX}unexpected character {expr[offset]!r} "
+                   f"(at offset {offset})\n")
+          for expr, offset in (("2²", 1), ("a^٣", 2))),
+    ],
+    "deep_nesting_exit_2": [
+        Contract("eval -p 3 --alpha a --beta b --expr=" + "-" * 3000 + "x", 2,
+                 err=re.compile("nested deeper")),
+        Contract("eval -p 3 --alpha '" + "(" * 3000 + "a" + ")" * 3000 + "' --beta b --expr x",
+                 2, "", re.compile(f"^{SYNTAX}")),
+    ],
+    # (1+a+b)^2186 took 8 s at p = 3 before exponents were bounded
+    "large_exponent_exit_2": [
+        Contract('eval -p 3 --alpha a --beta b --expr x --let "q=(1+a+b)^2186"', 2, "",
+                 re.compile(f"^{SYNTAX}exponent 2186 is larger than")),
+        Contract('eval -p 7 --alpha a --beta b --expr "(x+a)^500"', 2, ""),
+    ],
+    # both are (1+a+b)^200, over 8 s at p = 10007 with each exponent bounded
+    # on its own
+    "power_of_a_power_exit_2": {
+        key: Contract("eval -p 10007 --alpha a --beta b " + flags, 2, "",
+                      re.compile(f"^{SYNTAX}power of degree 200 is larger than 100"))
+        for key, flags in (("nested", '--expr "((1+a+b)^20)^10"'),
+                           ("let", '--let "q=(1+a+b)^20" --expr q^10'))
+    },
+    "power_at_the_degree_bound_is_accepted": [
+        Contract('eval -p 10007 --alpha a --beta b --expr "(1+a+b)^100"', 0),
+    ],
+    "let_binds_only_new_identifiers_exit_2": {
+        key: Contract(f"eval -p 3 --alpha a --beta b --let '{let}' --expr a*x", 2, "",
+                      f"{INVALID}{message}\n")
+        for key, let, message in [
+            # a, b, x, y already name the indeterminates and the generators
+            ("a", "a=b", "--let cannot rebind the built-in name 'a'"),
+            ("b", "b=a", "--let cannot rebind the built-in name 'b'"),
+            ("x", "x=a", "--let cannot rebind the built-in name 'x'"),
+            ("y", " y =a", "--let cannot rebind the built-in name 'y'"),
+            # no expression can refer to a name that is not an identifier
+            ("digit-first", "1q=a", "malformed --let binding '1q=a': expected NAME=EXPR"),
+            ("space", "q r=a", "malformed --let binding 'q r=a': expected NAME=EXPR"),
+            ("no-name", "=a", "malformed --let binding '=a': expected NAME=EXPR"),
+            ("no-expr", "q", "malformed --let binding 'q': expected NAME=EXPR"),
+            # the tokenizer reads only ASCII names, so expressions could not refer to it
+            ("non-ascii", "é=a", "malformed --let binding 'é=a': expected NAME=EXPR"),
+        ]
+    },
+    # a flag is not an expression, so the error carries no offset
+    "precision_over_a_rational_field_is_invalid_input": [
+        Contract("eval -p 3 --alpha a --beta b --expr x --precision 5", 2, "",
+                 f"{INVALID}--precision only applies to laurent fields\n"),
+    ],
+    # beta = 0 names no algebra: the input is at fault, not the mathematics,
+    # so it is a usage error (exit 2) that still names InvalidSlot
+    "math_failure_exit_1": [
+        Contract("identity -p 2 --alpha a --beta a-a", 2, err=re.compile("InvalidSlot")),
+    ],
+    "zero_right_slot_exit_2": {
+        command.split()[0]: Contract(command, 2, "",
+                                     f"{INVALID}InvalidSlot: the right slot must be nonzero\n")
+        for command in [
+            "link -p 3 --alpha a --gamma a+b --beta 0",
+            "verify-lemma -p 3 --alpha a --beta 0 --x x --t y",
+            "decompose -p 3 --alpha a --beta 0 --t x",
+            "identity -p 3 --alpha a --beta 0",
+            "scale -p 3 --alpha a --beta 0 --u x",
+            "eval -p 3 --alpha a --beta 0 --expr x",
+        ]
+    },
+    "non_prime_p_exit_2": {
+        f"argv{i}": Contract(command, 2, "",
+                             f"{INVALID}InvalidPrime: {command.split()[2]} is not prime\n")
+        for i, command in enumerate([
+            "eval -p 4 --alpha a --beta b --expr x",
+            "link -p 1 --alpha a --gamma a+b --beta b",
+            "identity -p 0 --alpha a --beta b",
+            "decompose -p 9 --alpha a --beta b --t x",
+            "counterexample -p 6",
+        ])
+    },
+    "division_by_zero_in_input_exit_2": {
+        f"argv{i}-{cause}": Contract(command, 2, "", re.compile(f"^{INVALID}{cause}: "))
+        for i, (command, cause) in enumerate([
+            ('identity -p 3 --alpha "1/(a-a)" --beta b', "DivisionByZero"),
+            ('eval -p 3 --alpha a --beta b --let "q=b/(b-b)" --expr x', "DivisionByZero"),
+            ('eval -p 3 --alpha a --beta b --expr "1/(x-x)"', "NotInvertible"),
+            # [0, 1)_2 is split: 1 + x is a zero divisor there
+            ('eval -p 2 --alpha 0 --beta 1 --expr "y/(1+x)"', "NotInvertible"),
+        ])
+    },
+    "degenerate_link_exit_1": [
+        Contract("link -p 2 --alpha 0 --gamma 0 --beta 1", 1, err=re.compile("InvalidSlot")),
+    ],
+    # the input errors named in the module docstring and the README that no
+    # row above gives to decompose, verify-lemma, link, scale or counterexample
+    "every_verb_rejects_bad_input_exit_2": {
+        key: Contract(command, 2, "", err)
+        for key, command, err in [
+            ("decompose-syntax", "decompose -p 3 --alpha a --beta b --t x^",
+             f"{SYNTAX}expected a nonnegative integer exponent (at offset 2)\n"),
+            ("decompose-zero-divisor", 'decompose -p 3 --alpha a --beta b --t "1/(x-x)"',
+             f"{INVALID}NotInvertible: element is a zero divisor\n"),
+            ("verify-lemma-division", 'verify-lemma -p 3 --alpha "1/(a-a)" --beta b --x x --t y',
+             f"{INVALID}DivisionByZero: division by zero rational function\n"),
+            ("verify-lemma-let", "verify-lemma -p 3 --alpha a --beta b --x x --t y --let b=a",
+             f"{INVALID}--let cannot rebind the built-in name 'b'\n"),
+            ("verify-lemma-non-prime", "verify-lemma -p 4 --alpha a --beta b --x x --t y",
+             f"{INVALID}InvalidPrime: 4 is not prime\n"),
+            ("link-syntax", "link -p 3 --alpha a+ --gamma a --beta b",
+             f"{SYNTAX}expected a value (at offset 2)\n"),
+            ("scale-precision", "scale -p 3 --alpha a --beta b --u x --precision 5",
+             f"{INVALID}--precision only applies to laurent fields\n"),
+            # a product is bounded by the sum of its operands' degrees
+            ("product-degree",
+             'eval -p 10007 --alpha a --beta b --let "q=(1+a+b)^20" --expr "q*q*q*q*q*q"',
+             f"{SYNTAX}product of degree 120 is larger than 100 (at offset 9)\n"),
+            ("counterexample-precision", "counterexample -p 3 --precision 0",
+             f"{INVALID}precision must be positive\n"),
+            ("counterexample-samples", "counterexample -p 3 --samples 0",
+             f"{INVALID}need at least one sample\n"),
+        ]
+    },
+}
+
+
+def contract_test(group):
+    if isinstance(group, dict):
+        @pytest.mark.parametrize("contract", list(group.values()), ids=list(group))
+        def test(contract):
+            run_contract(contract)
+    else:
+        def test():
+            for contract in group:
+                run_contract(contract)
+    return test
+
+
+globals().update({f"test_{name}": contract_test(group) for name, group in CONTRACTS.items()})
