@@ -28,9 +28,17 @@ coefficients and summed, times n0 and times n1, per output monomial and
 wrap; each output sum is multiplied once by its slot factor, at most four
 per output monomial, and each output coefficient is reduced mod p once,
 divided once by the product of the operands' and the slots' denominators,
-and built once.  A power of exact data up to t^5, or any power over slots
-without denominators, multiplies numerators only: its chain hands them on
-undivided, and only the result's coefficients are divided, once each.
+and built once.  Two kernels form the numerators.  _dict_products keeps
+each sum as a map of integer coefficients; _packed_products packs every
+numerator and slot factor into one int (Kronecker substitution,
+polys.p_pack), so a term pair is one int product, a sum is an int sum and
+each output numerator is unpacked once.  Packing costs more than it saves
+on small products, so a product takes the packed kernel only from
+PACKED_MIN_SIZE on, its size being the sum over its term pairs of the two
+numerators' term counts.  A power of exact data up to t^5, or any power
+over slots without denominators, multiplies numerators only: its chain
+hands them on undivided, and only the result's coefficients are divided,
+once each.
 Canonical rational forms are unique, so the result is the same as
 reducing every scalar product and partial sum.  An inexact
 series, as a coefficient or as a slot, groups its term pairs per output
@@ -66,6 +74,14 @@ from .errors import (
 from .fields import _cancel
 
 _COMB = math.comb
+
+# the least _size, the sum over term pairs of |c1| + |c2|, for which a
+# product takes the packed kernel.  On 26,166 products of exact data
+# captured from the four benchmark workloads (32 rounds each, seed 3) the
+# packed kernel took 4.2x the dict kernel's time at size 2-3, 1.5x at
+# 16-31, 1.0x at 32-63, 0.77x at 64-127 and 0.4x from 256; any switch from
+# 32 to 64 gave the least total, 0.76x of the dict kernel alone
+PACKED_MIN_SIZE = 48
 
 
 class SymbolAlgebra:
@@ -194,7 +210,7 @@ class SymbolAlgebra:
         # is not split into its n0 and alpha parts, so each group of term
         # pairs keeps its whole constant
         groups = {}
-        for c12, j, wrap, expansion in self._pairs(s.entries, t.entries, operator.mul):
+        for c12, j, wrap, expansion in _pairs(self.p, s.entries, t.entries, operator.mul):
             for i, n0, n1 in expansion:
                 groups.setdefault((i, j, n0, n1, wrap), []).append(c12)
         one = self._one
@@ -211,57 +227,23 @@ class SymbolAlgebra:
                 acc[ij] = acc[ij] + term if ij in acc else term
         return self._grid(acc)
 
-    def _pairs(self, s_entries, t_entries, mul):
-        """(mul(c1, c2), j, wrap, expansion) for each term pair, its product
-        formed once: x^i1 y^j1 * x^i2 y^j2 is the sum of (n0 + n1*alpha) *
-        beta^wrap x^i y^j over the expansion's triples (i, n0, n1)."""
-        p = self.p
-        for (i1, j1), c1 in s_entries.items():
-            for (i2, j2), c2 in t_entries.items():
-                j = j1 + j2
-                wrap = j >= p
-                yield mul(c1, c2), j - p if wrap else j, wrap, _x_expansion(p, i1, j1, i2)
-
     def _mul_terms(self, s_frac, t_frac):
         """The product of two elements given as (numerators, d) from
         _over_common_denominator, in the same form: each output numerator
-        over the product of the operands' and the slots' denominators.  Each
-        term pair's product, times n0 and times n1, is summed with unreduced
-        integer coefficients into two maps per (i, j, wrap), each map is
-        multiplied once by its slot factor, and each output numerator is
-        reduced mod p once; the caller divides and builds the coefficients."""
+        over the product of the operands' and the slots' denominators.  The
+        numerators come from _packed_products when the product's _size is
+        at least PACKED_MIN_SIZE, else from _dict_products; the caller
+        divides and builds the coefficients."""
         (s_num, s_den), (t_num, t_den) = s_frac, t_frac
-        sums = {}  # (i, j, wrap) -> (n0 part, n1 part)
-        for c12, j, wrap, expansion in self._pairs(s_num, t_num, _raw_mul):
-            for i, n0, n1 in expansion:
-                parts = sums.get((i, j, wrap))
-                if parts is None:
-                    parts = sums[(i, j, wrap)] = ({}, {})
-                if n0:
-                    part = parts[0]
-                    for m, c in c12.items():
-                        part[m] = part.get(m, 0) + n0 * c
-                if n1:
-                    part = parts[1]
-                    for m, c in c12.items():
-                        part[m] = part.get(m, 0) + n1 * c
-        acc = {}
-        for (i, j, wrap), parts in sums.items():
-            out = acc.setdefault((i, j), {})
-            for part, k in zip(parts, self._factors[wrap]):
-                if part and k:
-                    if k == polys.P_ONE:
-                        for m, c in part.items():
-                            out[m] = out.get(m, 0) + c
-                    else:
-                        polys.p_mul_into(out, part, k)
         p = self.p
+        kernel = _packed_products if _size(s_num, t_num) >= PACKED_MIN_SIZE else _dict_products
+        num = kernel(p, s_num, t_num, self._factors)
         (_, da), (_, db) = self._fractions
         den = None
         for d in (s_den, t_den, da, db):
             if d is not None:
                 den = d if den is None else polys.p_mul(den, d, p)
-        return {ij: r for ij, c in acc.items() if (r := polys.p_reduce(c, p))}, den
+        return num, den
 
     def add(self, s, t):
         self._check(s)
@@ -279,12 +261,16 @@ class SymbolAlgebra:
         return self.add(s, self.neg(t))
 
     def scale(self, c, t):
-        """Multiply by a central scalar."""
+        """Multiply by a central scalar, an int or a scalar of the base field."""
         self._check(t)
+        if not (isinstance(c, int) or self.field.owns(c)):
+            raise ValueError("scalar does not belong to the base field")
+        return self._scaled(c, t)
+
+    def _scaled(self, c, t):
+        """scale without its checks, for callers that have made them."""
         if isinstance(c, int):
             c = self.field.from_int(c)
-        if not self.field.owns(c):
-            raise ValueError("scalar does not belong to the base field")
         return self._grid({ij: c * e for ij, e in t.entries.items()})
 
     def power(self, t, n):
@@ -366,7 +352,7 @@ class SymbolAlgebra:
         # the checks above would hold whatever the inverse
         if (lam * c)._certified_zero():
             raise PrecisionExhausted("window too small to certify the inverse")
-        return self.scale(lam, tail)
+        return self._scaled(lam, tail)
 
     def conjugate(self, u, t):
         """u * t * u^(-1)."""
@@ -433,7 +419,7 @@ class SymbolAlgebra:
             for m in range(p):
                 c = ((m == 0) - _COMB(p - 1, m) * pow(-i, p - 1 - m, p)) % p
                 if c:
-                    part = self.add(part, self.scale(c, iterates[m]))
+                    part = self.add(part, self._scaled(c, iterates[m]))
             parts.append(part)
         return AdComponents(parts)
 
@@ -505,13 +491,12 @@ class AlgElement:
     def __mul__(self, other):
         if isinstance(other, AlgElement):
             return self.algebra.mul(self, other)
-        if isinstance(other, int) or self.algebra.field.owns(other):
-            return self.algebra.scale(other, self)
-        return NotImplemented
+        return self.__rmul__(other)
 
     def __rmul__(self, other):
+        # the ownership test picks the result; scale would make it again
         if isinstance(other, int) or self.algebra.field.owns(other):
-            return self.algebra.scale(other, self)
+            return self.algebra._scaled(other, self)
         return NotImplemented
 
     def __truediv__(self, other):
@@ -599,6 +584,99 @@ def _over_common_denominator(entries, p):
         f = cofactors[dens[ij][0]] if ij in dens else common
         out[ij] = num if polys.p_is_one(f) else polys.p_mul(num, f, p)
     return out, common
+
+
+def _pairs(p, s_entries, t_entries, mul):
+    """(mul(c1, c2), j, wrap, expansion) for each term pair, its product
+    formed once: x^i1 y^j1 * x^i2 y^j2 is the sum of (n0 + n1*alpha) *
+    beta^wrap x^i y^j over the expansion's triples (i, n0, n1)."""
+    for (i1, j1), c1 in s_entries.items():
+        for (i2, j2), c2 in t_entries.items():
+            j = j1 + j2
+            wrap = j >= p
+            yield mul(c1, c2), j - p if wrap else j, wrap, _x_expansion(p, i1, j1, i2)
+
+
+def _size(s_num, t_num):
+    """The sum over term pairs of the two numerators' term counts."""
+    return len(s_num) * sum(map(len, t_num.values())) + len(t_num) * sum(map(len, s_num.values()))
+
+
+def _dict_products(p, s_num, t_num, factors):
+    """The output numerators of a product of numerator maps, reduced mod
+    p, for the slot factors of SymbolAlgebra._factors.  Each term pair's
+    product, times n0 and times n1, is summed with unreduced integer
+    coefficients into two maps per (i, j, wrap), each map is multiplied
+    once by its slot factor, and each output numerator is reduced once."""
+    sums = {}  # (i, j, wrap) -> (n0 part, n1 part)
+    for c12, j, wrap, expansion in _pairs(p, s_num, t_num, _raw_mul):
+        for i, n0, n1 in expansion:
+            parts = sums.get((i, j, wrap))
+            if parts is None:
+                parts = sums[(i, j, wrap)] = ({}, {})
+            if n0:
+                part = parts[0]
+                for m, c in c12.items():
+                    part[m] = part.get(m, 0) + n0 * c
+            if n1:
+                part = parts[1]
+                for m, c in c12.items():
+                    part[m] = part.get(m, 0) + n1 * c
+    acc = {}
+    for (i, j, wrap), parts in sums.items():
+        out = acc.setdefault((i, j), {})
+        for part, k in zip(parts, factors[wrap]):
+            if part and k:
+                if k == polys.P_ONE:
+                    for m, c in part.items():
+                        out[m] = out.get(m, 0) + c
+                else:
+                    polys.p_mul_into(out, part, k)
+    return {ij: r for ij, c in acc.items() if (r := polys.p_reduce(c, p))}
+
+
+def _packed_products(p, s_num, t_num, factors):
+    """_dict_products with every map packed into one int (polys.p_pack):
+    one int product per term pair, int sums per (i, j, wrap) times n0 and
+    times n1, one int product per sum and slot factor, and one unpacking
+    per output numerator.  Each operand packs from its own least
+    exponents, the slot factors from theirs, and the slots are sized by
+    the bound on an output coefficient before reduction.  That
+    coefficient sums two parts n * (c1 * c2 * k)[m] per term pair, n and
+    every coefficient at most p - 1, and at most min(|c1|, |c2|) * |k|
+    term triples meet in (c1 * c2 * k)[m], so it is at most
+    (p-1)^4 * _size * max |k|."""
+    if not s_num or not t_num:
+        return {}
+    ks = [k for pair in factors for k in pair if k]
+    boxes = [polys.p_box(maps) for maps in (s_num.values(), t_num.values(), ks)]
+    stride = sum(hb - lb for _, lb, _, hb in boxes) + 1
+    width = polys.slot_bytes((p - 1) ** 4 * _size(s_num, t_num) * max(map(len, ks)))
+    (sa, sb, *_), (ta, tb, *_), (ka, kb, *_) = boxes
+    s_packed = {ij: polys.p_pack(f, (sa, sb), stride, width) for ij, f in s_num.items()}
+    t_packed = {ij: polys.p_pack(f, (ta, tb), stride, width) for ij, f in t_num.items()}
+    k_packed = [[polys.p_pack(k, (ka, kb), stride, width) if k else 0 for k in pair] for pair in factors]
+    sums = {}  # (j, wrap) -> {i: [n0 part, n1 part]}
+    for c12, j, wrap, expansion in _pairs(p, s_packed, t_packed, operator.mul):
+        row = sums.get((j, wrap))
+        if row is None:
+            row = sums[(j, wrap)] = {}
+        for i, n0, n1 in expansion:
+            parts = row.get(i)
+            if parts is None:
+                row[i] = [n0 * c12, n1 * c12]
+            else:
+                if n0:
+                    parts[0] += n0 * c12
+                if n1:
+                    parts[1] += n1 * c12
+    acc = {}
+    for (j, wrap), row in sums.items():
+        k0, k1 = k_packed[wrap]
+        for i, (s0, s1) in row.items():
+            acc[(i, j)] = acc.get((i, j), 0) + s0 * k0 + s1 * k1
+    origin = (sa + ta + ka, sb + tb + kb)
+    return {ij: r for ij, c in acc.items() if (r := polys.p_unpack(c, origin, stride, width, p))}
 
 
 def _raw_mul(f, g):

@@ -16,7 +16,8 @@ input error: malformed syntax, a -p that is not prime or exceeds
 fields.MAX_PRIME (2^16), a zero right slot, a division by zero or by a
 zero divisor inside an input expression, a --let name that is not an
 ASCII identifier or rebinds a, b, x or y, --precision over a rational
-field, or a scale --u that is zero or has y.
+field, a --precision below 1, a counterexample --samples below 1, or a
+scale --u that is zero or has y.
 """
 
 from __future__ import annotations

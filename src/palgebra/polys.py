@@ -23,6 +23,17 @@ deg_a lc_b(F) + deg_a F * deg_b G + deg_a G * deg_b F points, so the
 scan stops one point past that bound (or at the end of F_p), whatever
 the size of p.  When no point proves it, the subresultant sequence runs.
 
+``u_mul`` and the packed element products of ``algebra`` use Kronecker
+substitution: a polynomial becomes one int with a slot of fixed width per
+monomial, the product of two such ints holds the product's coefficients
+unreduced, and each slot is read back and reduced mod p.  One rule,
+``slot_bytes``, sizes the slots from the caller's exact bound on an
+unreduced coefficient: 1, 2, 4 or 8 bytes, then whole 8-byte words, so
+every p up to fields.MAX_PRIME fits.  ``p_pack`` lays a bivariate map out
+row by row in a, each row ``stride`` slots of b, from an origin at or
+below its least exponents, so exact Laurent numerators with negative
+exponents pack too.
+
 All functions are pure. Monomial comparisons use graded lexicographic
 order with a ranked above b; gcds are returned monic with respect to that
 order so that canonical forms are unique.
@@ -80,14 +91,53 @@ def u_mul(f, g, p):
         # one term c*t^e: a shift and a scaling
         c = f[-1]
         return [0] * (len(f) - 1) + [(c * k) % p for k in g]
-    # Kronecker substitution: each operand becomes one integer, a slot of
-    # 1, 2, 4 or 8 bytes per coefficient, wide enough for a coefficient of
-    # the product before reduction (below 2^64, as p <= fields.MAX_PRIME);
-    # one multiplication, then each slot is read back mod p
-    code = "BHIIQQQQ"[(((p - 1) * (p - 1) * min(len(f), len(g))).bit_length() - 1) // 8]
-    prod = int.from_bytes(array(code, f), byteorder) * int.from_bytes(array(code, g), byteorder)
-    slots = prod.to_bytes((len(f) + len(g) - 1) * array(code).itemsize, byteorder)
-    return [c % p for c in memoryview(slots).cast(code)]
+    # Kronecker substitution: each operand becomes one integer, a slot per
+    # coefficient wide enough for a coefficient of the product before
+    # reduction; one multiplication, then each slot is read back mod p
+    width = slot_bytes((p - 1) * (p - 1) * min(len(f), len(g)))
+    prod = _pack(f, width) * _pack(g, width)
+    return [c % p for c in _unpack(prod, len(f) + len(g) - 1, width)]
+
+
+# Kronecker slots --------------------------------------------------------
+
+_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def slot_bytes(bound):
+    """Bytes per Kronecker slot for integers 0 .. bound: 1, 2, 4 or 8, then
+    whole 8-byte words (bound is at least (p-1)^2, and (p-1)^4 alone
+    fills 64 bits at p = 65521)."""
+    n = (bound.bit_length() + 7) // 8
+    return n if n <= 2 else 4 if n <= 4 else -(-n // 8) * 8
+
+
+def _pack(slots, width):
+    """The ints in the list slots, each below 2^64, lowest slot first, as
+    one int with width bytes per slot."""
+    if width > 8:
+        words = [0] * (len(slots) * (width // 8))
+        words[:: width // 8] = slots
+        slots, width = words, 8
+    data = array(_CODES[width], slots)
+    if _BIG_ENDIAN:
+        data.byteswap()
+    return int.from_bytes(data, "little")
+
+
+def _unpack(n, count, width):
+    """The lowest count slots of n, width bytes each, lowest first."""
+    data = n.to_bytes(count * width, "little")
+    if width > 8:
+        return [int.from_bytes(data[k : k + width], "little") for k in range(0, len(data), width)]
+    if _BIG_ENDIAN:
+        slots = array(_CODES[width], data)
+        slots.byteswap()
+        return slots
+    return memoryview(data).cast(_CODES[width])
+
+
+_BIG_ENDIAN = byteorder == "big"
 
 
 def u_sub(f, g, p):
@@ -202,6 +252,40 @@ def p_mul_into(out, f, g):
 def p_reduce(f, p):
     """f with every coefficient reduced mod p and the zeros dropped."""
     return {m: r for m, c in f.items() if (r := c % p)}
+
+
+def p_box(maps):
+    """(least a, least b, greatest a, greatest b) exponents over the terms
+    of the nonempty maps."""
+    a, b = zip(*[m for f in maps for m in f])
+    return min(a), min(b), max(a), max(b)
+
+
+def p_pack(f, origin, stride, width):
+    """f as one int with width bytes per slot: the coefficient of
+    a^ea b^eb sits in slot (ea - la) * stride + (eb - lb) for the origin
+    (la, lb), which may be negative.  A product of maps packed with the
+    same stride is the packed product over the sum of their origins,
+    provided the stride exceeds the product's b-span and the width holds
+    its coefficients."""
+    la, lb = origin
+    if len(f) <= 8:
+        # a few shifted terms; a list of every slot would cost more
+        bits = 8 * width
+        return sum(c << ((ea - la) * stride + eb - lb) * bits for (ea, eb), c in f.items())
+    index = {(ea - la) * stride + eb - lb: c for (ea, eb), c in f.items()}
+    slots = [0] * (max(index) + 1)
+    for k, c in index.items():
+        slots[k] = c
+    return _pack(slots, width)
+
+
+def p_unpack(n, origin, stride, width, p):
+    """The term map packed in n by p_pack, each coefficient reduced mod p
+    and the zeros dropped."""
+    la, lb = origin
+    slots = _unpack(n, -(-n.bit_length() // (8 * width)), width)
+    return {(la + k // stride, lb + k % stride): r for k, c in enumerate(slots) if c and (r := c % p)}
 
 
 def p_scale(f, c, p):

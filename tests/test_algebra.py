@@ -83,6 +83,21 @@ def test_scale_rejects_a_scalar_of_another_field():
             A.scale(foreign, A.x())
 
 
+def test_scalar_times_element_tests_ownership_once(monkeypatch):
+    # the operators' ownership test chooses their result, and scale's own
+    # checks are skipped; the operators once called scale, testing twice
+    A = rational_algebra(3)
+    a, x = A.field.gen("a"), A.x()
+    calls = []
+    owns = FieldDescriptor.owns
+    monkeypatch.setattr(FieldDescriptor, "owns", lambda F, c: calls.append(1) or owns(F, c))
+    products = [x * a, a * x, x * 2, 2 * x]
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert products == [A.scale(a, x)] * 2 + [A.add(x, x)] * 2
+    assert x.__mul__(FieldDescriptor("rational", 5).gen("a")) is NotImplemented
+
+
 def test_elements_do_not_depend_on_entry_order_or_explicit_zeros():
     A = rational_algebra(3)
     a = A.field.gen("a")
@@ -397,7 +412,9 @@ def test_mul_multiplies_each_output_sum_once_per_slot_factor(monkeypatch):
     # output monomial sums its pairs' products into at most four maps, one
     # per wrap and part, and multiplies each once by its slot factor.
     # That takes 706 calls here, 625 of them for the term pairs; multiplying
-    # each group of pairs by its whole constant instead took 959.
+    # each group of pairs by its whole constant instead took 959.  The
+    # product is large enough for the packed kernel, so the switch is raised
+    # to count the dict kernel's calls; the packed kernel must agree.
     p = 5
     rat = FieldDescriptor("rational", p)
     a, b, one = rat.gen("a"), rat.gen("b"), rat.one()
@@ -409,10 +426,70 @@ def test_mul_multiplies_each_output_sum_once_per_slot_factor(monkeypatch):
     calls = []
     mul_into = polys.p_mul_into
     monkeypatch.setattr(polys, "p_mul_into", lambda out, f, g: calls.append(1) or mul_into(out, f, g))
+    monkeypatch.setattr(algebra_module, "PACKED_MIN_SIZE", float("inf"))
     prod = A.mul(s, t)
     assert len(calls) <= len(s.entries) * len(t.entries) + 4 * p * p
     monkeypatch.undo()
-    assert prod == mul_reference(A, s, t)
+    assert prod == mul_reference(A, s, t) == A.mul(s, t)
+
+
+def _random_numerators(rng, p, cells, low, max_terms=4):
+    """Random nonzero term maps on the given basis cells, with exponents
+    from low to low + 2, as _over_common_denominator hands them on."""
+    la, lb = low
+    return {
+        ij: {(rng.randint(la, la + 2), rng.randint(lb, lb + 2)): rng.randrange(1, p)
+             for _ in range(rng.randint(1, max_terms))}
+        for ij in cells
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
+def test_packed_products_match_dict_products(p):
+    # both kernels, called directly, give the same reduced numerators over
+    # slots with and without denominators, a zero left slot and exact
+    # Laurent slots and numerators with negative exponents
+    rng = random.Random(1300 + p)
+    rat, lau = FieldDescriptor("rational", p), FieldDescriptor("laurent", p, 8)
+    a, b, one = rat.gen("a"), rat.gen("b"), rat.one()
+    a_inv = lau.from_terms({(-1, 0): 1})
+    algebras = [
+        (rational_algebra(p), (0, 0)),
+        (make_algebra(p, a / b, one / (a + b), rat), (0, 0)),
+        (make_algebra(p, rat.zero(), b, rat), (0, 0)),
+        (make_algebra(p, a_inv, lau.gen("b") + a_inv, lau), (-1, -2)),
+    ]
+    # at p = 65521 the rows y^(p-2), y^(p-1) wrap and x stays short
+    cells = sorted({(i, j) for i in range(min(p, 4)) for j in (0, 1, p - 2, p - 1)})
+
+    def same(A, s_num, t_num):
+        dict_out = algebra_module._dict_products(p, s_num, t_num, A._factors)
+        assert algebra_module._packed_products(p, s_num, t_num, A._factors) == dict_out
+        return dict_out
+
+    for A, low in algebras:
+        for _ in range(4):
+            s_cells = rng.sample(cells, rng.randint(1, len(cells)))
+            t_cells = rng.sample(cells, rng.randint(1, len(cells)))
+            same(A, _random_numerators(rng, p, s_cells, low), _random_numerators(rng, p, t_cells, low))
+        # single term pairs, one of them of single terms
+        for ij1, ij2 in ((cells[0], cells[-1]), (cells[-1], cells[-1])):
+            same(A, _random_numerators(rng, p, [ij1], low), _random_numerators(rng, p, [ij2], low))
+        same(A, {(0, 0): {low: 1}}, {(1, 1): {(1, 0): p - 1}})
+        # (f x + f)(x - 1): the x terms cancel, unless p = 2 and x^2 = x + alpha
+        f = _random_numerators(rng, p, [(0, 0)], low)[(0, 0)]
+        out = same(A, {(1, 0): f, (0, 0): f}, {(1, 0): {(0, 0): 1}, (0, 0): {(0, 0): p - 1}})
+        assert p == 2 or (1, 0) not in out
+        assert same(A, {}, {(0, 0): f}) == {}
+    # every coefficient p - 1, the slot factors' too, so at p = 65521 the
+    # unreduced sums pass 2^64: the bound, at least 2 (p-1)^4, takes two
+    # 8-byte words a slot
+    if p == 65521:
+        assert polys.slot_bytes(2 * (p - 1) ** 4) == 16
+    minus = rat.from_terms({(1, 0): p - 1, (0, 1): p - 1, (0, 0): p - 1})
+    A = make_algebra(p, minus, minus, rat)
+    dense = {ij: {(i, j): p - 1 for i in range(3) for j in range(3)} for ij in cells}
+    assert same(A, dense, dense)
 
 
 def _dense_poly_elements(A, rng, count):
@@ -531,13 +608,15 @@ def test_long_rational_slot_powers_keep_numerators_small(monkeypatch):
     x, y = A.x(), A.y()
     z = x + A.mul(A.scalar(a / (a + b)) + x, y)
     degrees = []
-    raw_mul = algebra_module._raw_mul
+    mul_terms = algebra_module.SymbolAlgebra._mul_terms
 
-    def recording_mul(f, g):
-        degrees.append(max(i + j for i, j in [*f, *g]))
-        return raw_mul(f, g)
+    # the numerators of both operands, where the dict and packed kernels
+    # take them
+    def recording_mul(A, s_frac, t_frac):
+        degrees.append(max(i + j for num, _ in (s_frac, t_frac) for f in num.values() for i, j in f))
+        return mul_terms(A, s_frac, t_frac)
 
-    monkeypatch.setattr(algebra_module, "_raw_mul", recording_mul)
+    monkeypatch.setattr(algebra_module.SymbolAlgebra, "_mul_terms", recording_mul)
     for t in (x + y, z):
         degrees.clear()
         A.power(t, p)

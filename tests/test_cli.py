@@ -402,6 +402,11 @@ CONTRACTS = {
         "p53-dense": Contract('eval -p 53 --alpha a --beta b --expr "1/(x*y+b*x+1)"', 0,
                               budget=60),
     },
+    # N(u) and the check (u y)^p, dense in p: 6.2 s on a 2-core machine, and
+    # 101 s there with every product on the dict kernel
+    "dense_in_p_scale_finishes": [
+        Contract('scale -p 53 --alpha a --beta b --u "1 + a*x + b*x^2 + x^3"', 0, budget=30),
+    ],
     # the shift check inverts Laurent scalars whose tracked lower bound is loose
     "laurent_lemma_inverse_finishes": [
         Contract('verify-lemma -p 3 --x x --t "(1/(1+a) + x)*y" --alpha a --beta b '

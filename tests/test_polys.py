@@ -79,6 +79,27 @@ def test_mul_into_then_reduce_is_a_sum_of_products(p):
     }
 
 
+def test_slot_bytes_grow_by_powers_of_two_then_by_words():
+    bounds = [2**k - 1 for k in (8, 9, 16, 17, 32, 33, 64, 65, 128, 129)]
+    assert [polys.slot_bytes(n) for n in bounds] == [1, 2, 2, 4, 4, 8, 8, 16, 16, 24]
+
+
+@pytest.mark.parametrize("p", [2, 5, 65521])
+def test_packed_maps_multiply_as_p_mul(p):
+    # Laurent exponents pack from each map's least exponents; a stride past
+    # the product's b-span and a width for (p-1)^2 * min(|f|, |g|) read the
+    # unreduced product back, with sparse and dense maps alike
+    rng = random.Random(1200 + p)
+    cells = [(ea - 2, eb - 1) for ea in range(7) for eb in range(7)]
+    for f_terms, g_terms in ((1, 1), (3, 1), (12, 3), (40, 30)):
+        f, g = ({m: rng.randrange(1, p) for m in rng.sample(cells, n)} for n in (f_terms, g_terms))
+        (fa, fb, _, fhb), (ga, gb, _, ghb) = polys.p_box([f]), polys.p_box([g])
+        stride = fhb - fb + ghb - gb + 1
+        width = polys.slot_bytes((p - 1) ** 2 * min(len(f), len(g)))
+        n = polys.p_pack(f, (fa, fb), stride, width) * polys.p_pack(g, (ga, gb), stride, width)
+        assert polys.p_unpack(n, (fa + ga, fb + gb), stride, width, p) == polys.p_mul(f, g, p)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_gcd_matches_sympy(p):
     rng = random.Random(2000 + p)
