@@ -1,6 +1,7 @@
 """Exact arithmetic for symbol algebras of prime degree in characteristic p.
 
-The library implements, over F_p(a, b) and over truncated F_p((a))((b)):
+The library implements, exactly, over F_p(a, b) and over F_p((a))((b)),
+whose values it builds are rational functions of a and b:
 
 * the degree-p symbol algebra generated by x, y with x^p - x = alpha,
   y^p = beta and y x y^(-1) = x + 1, with exact normal-form products;

@@ -16,13 +16,13 @@ structure constants n0, n1 in F_p and w in {0, 1}.  The integer expansions
 depend only on p and are shared by every algebra.  Elements and handles
 are immutable.
 
-Exact scalars reach a product only as term-map fractions: a scalar's
-_fraction() is its numerator and denominator as term maps (the
-denominator None when there is none), and None for an inexact Laurent
-series.  A product of exact data does no scalar arithmetic.  Each
-operand's numerators are brought over the lcm of its denominators.  Over
-den(alpha) * den(beta), a constant is n0 times one slot factor plus n1
-times another, four factors built once per algebra from the slots' maps.
+Scalars, over F_p(a, b) and over F_p((a))((b)) alike, reach a product
+only as term-map fractions: a scalar's _fraction() is its numerator and
+denominator as term maps (the denominator None when there is none).  A
+product does no scalar arithmetic.  Each operand's numerators are brought
+over the lcm of its denominators.  Over den(alpha) * den(beta), a
+constant is n0 times one slot factor plus n1 times another, four factors
+built once per algebra from the slots' maps.
 Each term pair's product is formed once with unreduced integer
 coefficients and summed, times n0 and times n1, per output monomial and
 wrap; each output sum is multiplied once by its slot factor, at most four
@@ -35,17 +35,12 @@ polys.p_pack), so a term pair is one int product, a sum is an int sum and
 each output numerator is unpacked once.  Packing costs more than it saves
 on small products, so a product takes the packed kernel only from
 PACKED_MIN_SIZE on, its size being the sum over its term pairs of the two
-numerators' term counts.  A power of exact data up to t^5, or any power
-over slots without denominators, multiplies numerators only: its chain
+numerators' term counts.  A power up to t^5, or any power over slots
+without denominators, multiplies numerators only: its chain
 hands them on undivided, and only the result's coefficients are divided,
 once each.
 Canonical rational forms are unique, so the result is the same as
-reducing every scalar product and partial sum.  An inexact
-series, as a coefficient or as a slot, groups its term pairs per output
-monomial and whole constant, with one scalar product per term pair and
-per group, whose windows the scalars track; that loop is the only place
-a product does scalar arithmetic, and the only place whole constants are
-built.
+reducing every scalar product and partial sum.
 
 Inverses and norms need no elimination.  One recurrence walks the reduced
 characteristic polynomial of t in Horner form, each coefficient read off
@@ -67,7 +62,6 @@ from .errors import (
     NotArtinSchreier,
     NotInSubfield,
     NotInvertible,
-    PrecisionExhausted,
     WitnessVerificationFailed,
     ZeroElement,
 )
@@ -87,7 +81,7 @@ PACKED_MIN_SIZE = 48
 class SymbolAlgebra:
     """Handle for the algebra with left slot alpha and right slot beta."""
 
-    __slots__ = ("p", "alpha", "beta", "field", "_zero", "_one", "_fractions", "_factors", "_scalars")
+    __slots__ = ("p", "alpha", "beta", "field", "_zero", "_one", "_fractions", "_factors")
 
     def __init__(self, p, alpha, beta, field):
         if field.prime != p:
@@ -102,20 +96,13 @@ class SymbolAlgebra:
         self.field = field
         self._zero = field.zero()
         self._one = field.one()
-        # products run on term maps only when both slots are fractions of
-        # polynomials; an inexact series slot keeps the scalar path
-        fa, fb = alpha._fraction(), beta._fraction()
-        self._fractions = self._factors = None
-        if fa is not None and fb is not None:
-            self._fractions = fa, fb
-            # (n0 + n1*alpha) * beta^wrap over da * db, for slots alpha = na / da
-            # and beta = nb / db, is n0 * factors[wrap][0] + n1 * factors[wrap][1]
-            # with the factors da * b and na * b, b = nb if wrap else db; an
-            # absent denominator is 1, and na is {} when alpha is zero
-            (na, da), (nb, db) = fa, fb
-            da, db = da or polys.P_ONE, db or polys.P_ONE
-            self._factors = tuple((polys.p_mul(da, b, p), polys.p_mul(na, b, p)) for b in (db, nb))
-        self._scalars = {}
+        # (n0 + n1*alpha) * beta^wrap over da * db, for slots alpha = na / da
+        # and beta = nb / db, is n0 * factors[wrap][0] + n1 * factors[wrap][1]
+        # with the factors da * b and na * b, b = nb if wrap else db; an
+        # absent denominator is 1, and na is {} when alpha is zero
+        self._fractions = (na, da), (nb, db) = alpha._fraction(), beta._fraction()
+        da, db = da or polys.P_ONE, db or polys.P_ONE
+        self._factors = tuple((polys.p_mul(da, b, p), polys.p_mul(na, b, p)) for b in (db, nb))
 
     # identity of handles is by value so rebuilt algebras interoperate
     def __eq__(self, other):
@@ -139,9 +126,9 @@ class SymbolAlgebra:
 
     # element constructors ---------------------------------------------------
     def _grid(self, entries):
-        """Element from a map (i, j) -> scalar with 0 <= i, j < p; exact
-        zeros are dropped."""
-        return AlgElement(self, {ij: c for ij, c in entries.items() if not c._surely_zero()})
+        """Element from a map (i, j) -> scalar with 0 <= i, j < p; zeros
+        are dropped."""
+        return AlgElement(self, {ij: c for ij, c in entries.items() if not c.is_zero()})
 
     def zero(self):
         return self._grid({})
@@ -179,53 +166,17 @@ class SymbolAlgebra:
             raise ValueError("element belongs to a different algebra")
 
     # normal-form multiplication ----------------------------------------------
-    def _scalar_constant(self, n0, n1, wrap):
-        """(n0 + n1*alpha) * beta^wrap as a scalar, for the series path,
-        where no slot has a denominator; built once per algebra."""
-        key = (n0, n1, wrap)
-        k = self._scalars.get(key)
-        if k is None:
-            from_int = self.field.from_int
-            k = from_int(n0) + from_int(n1) * self.alpha
-            if wrap:
-                k = k * self.beta
-            self._scalars[key] = k
-        return k
-
     def mul(self, s, t):
         self._check(s)
         self._check(t)
-        if self._fractions is not None:
-            # multiply numerators, which needs no gcd, then divide each
-            # output coefficient once by the product of the operands' and
-            # the slots' denominators, over which the slot factors are written
-            s_frac = _over_common_denominator(s.entries, self.p)
-            t_frac = s_frac and _over_common_denominator(t.entries, self.p)
-            if t_frac:
-                num, den = self._mul_terms(s_frac, t_frac)
-                from_terms = self.field.from_terms
-                return AlgElement(self, {ij: from_terms(c, den) for ij, c in num.items()})
-        # inexact series, as coefficients or slots, have no denominators;
-        # window bookkeeping distributes over a Laurent constant only when it
-        # is not split into its n0 and alpha parts, so each group of term
-        # pairs keeps its whole constant
-        groups = {}
-        for c12, j, wrap, expansion in _pairs(self.p, s.entries, t.entries, operator.mul):
-            for i, n0, n1 in expansion:
-                groups.setdefault((i, j, n0, n1, wrap), []).append(c12)
-        one = self._one
-        acc = {}
-        for (i, j, n0, n1, wrap), cs in groups.items():
-            k = self._scalar_constant(n0, n1, wrap)
-            if not k._surely_zero():
-                # a sum starts from its first term, not from an exact zero: a
-                # Laurent term keeps its own lower bounds la/lb, which are
-                # tighter than min(0, .) and still sound
-                c = functools.reduce(operator.add, cs)
-                term = c if k == one else c * k
-                ij = (i, j)
-                acc[ij] = acc[ij] + term if ij in acc else term
-        return self._grid(acc)
+        # multiply numerators, which needs no gcd, then divide each output
+        # coefficient once by the product of the operands' and the slots'
+        # denominators, over which the slot factors are written
+        p = self.p
+        num, den = self._mul_terms(_over_common_denominator(s.entries, p),
+                                   _over_common_denominator(t.entries, p))
+        from_terms = self.field.from_terms
+        return AlgElement(self, {ij: from_terms(c, den) for ij, c in num.items()})
 
     def _mul_terms(self, s_frac, t_frac):
         """The product of two elements given as (numerators, d) from
@@ -277,13 +228,13 @@ class SymbolAlgebra:
         self._check(t)
         if n < 0:
             raise ValueError("negative powers go through inverse")
-        # exact data: numerators over one denominator, divided at the end.
-        # Each product carries the slots' denominators once more, so past
-        # t^5 over slots with denominators every product divides instead
-        frac = n and self._fractions is not None and _over_common_denominator(t.entries, self.p)
-        if not frac or n > 5 and not polys.p_is_one(self._factors[0][0]):
+        # numerators over one denominator, divided at the end.  Each product
+        # carries the slots' denominators once more, so past t^5 over slots
+        # with denominators every product divides instead
+        if not n or n > 5 and not polys.p_is_one(self._factors[0][0]):
             return polys.power(t, n, self.one(), self.mul)
         # n >= 1 here, so the chain never reads an identity
+        frac = _over_common_denominator(t.entries, self.p)
         num, den = polys.power(frac, n, None, self._mul_terms)
         from_terms = self.field.from_terms
         return AlgElement(self, {ij: from_terms(c, den) for ij, c in num.items()})
@@ -292,9 +243,9 @@ class SymbolAlgebra:
         return self.sub(self.mul(s, t), self.mul(t, s))
 
     def certified_equal(self, s, t):
-        """Equality up to the certification window of each coefficient:
-        fields.certified_equal for two elements of this algebra."""
-        return self.sub(s, t)._certified_zero()
+        """Exact equality: fields.certified_equal for two elements of this
+        algebra."""
+        return self.sub(s, t).is_zero()
 
     # the reduced characteristic polynomial, in Horner form ------------------
     def _horner_sums(self, t):
@@ -302,15 +253,15 @@ class SymbolAlgebra:
         polynomial T^p + s_1 T^(p-1) + ... + s_p, s_k = (-1)^k e_k, and
         h_(p-1) * t.  Here h_0 = 1 and h_k = h_(k-1) * t + s_k, where
         Newton's identities give s_k = -Trd(h_(k-1) * t) / k with
-        Trd(v) = -coeff(x^(p-1) y^0), dividing only by k < p in F_p; an
-        exact-zero s_k is not added.  By Cayley-Hamilton h_(p-1) * t is the
+        Trd(v) = -coeff(x^(p-1) y^0), dividing only by k < p in F_p; a
+        zero s_k is not added.  By Cayley-Hamilton h_(p-1) * t is the
         scalar -s_p = Nrd(t).  Costs p - 1 products, each on the right."""
         p, from_int = self.p, self.field.from_int
         sums = [self.one()]
         prod = t
         for k in range(1, p):
             s = prod.coeff(p - 1, 0) * from_int(polys.inv_mod(k, p))
-            h = prod if s._surely_zero() else self.add(prod, self.scalar(s))
+            h = prod if s.is_zero() else self.add(prod, self.scalar(s))
             sums.append(h)
             prod = self.mul(h, t)
         return sums, prod
@@ -324,12 +275,10 @@ class SymbolAlgebra:
         the constant term of t * tail and the inverse is tail / c.  An
         inverse costs the p - 1 products of the recurrence, t * tail and
         one scalar inverse.  It is checked on both sides: t * tail must
-        certify every coefficient but c zero and equal tail * t.  Over a
-        Laurent field a window too small to certify the constant term of
-        c / c leaves the inverse undecided (PrecisionExhausted).  With c = 0
+        have every coefficient but c zero and equal tail * t.  With c = 0
         the witness is the last nonzero h_m, verified by multiplication.  A
-        scalar t takes the scalar inverse, which keeps its window where
-        going through c = t^p would narrow it.
+        scalar t takes the scalar inverse: the recurrence would form every
+        power of it up to t^p, unbounded work at a large p.
         """
         self._check(t)
         if t.is_zero():
@@ -342,17 +291,12 @@ class SymbolAlgebra:
         c = prod.coeff(0, 0)
         if not (self.certified_equal(prod, self.scalar(c)) and self.certified_equal(right, prod)):
             raise WitnessVerificationFailed("t * tail is not a scalar on both sides")
-        if c._surely_zero():
+        if c.is_zero():
             witness = next(h for h in reversed(sums) if not h.is_zero())
             if not self.certified_equal(self.mul(witness, t), self.zero()):
                 raise WitnessVerificationFailed("bad zero-divisor witness")
             raise NotInvertible("element is a zero divisor", witness=witness)
-        lam = self._one / c
-        # a window that ends before a^0 b^0 certifies no term of lam * c, so
-        # the checks above would hold whatever the inverse
-        if (lam * c)._certified_zero():
-            raise PrecisionExhausted("window too small to certify the inverse")
-        return self._scaled(lam, tail)
+        return self._scaled(self._one / c, tail)
 
     def conjugate(self, u, t):
         """u * t * u^(-1)."""
@@ -384,8 +328,8 @@ class SymbolAlgebra:
     def norm_Fx(self, u):
         """The norm of u from F[x] to the base field, the product of the p
         shifts u(x + i): on F[x] it is the reduced norm, read as the
-        constant term of h_(p-1)(u) * u (_horner_sums), which must certify
-        as a scalar."""
+        constant term of h_(p-1)(u) * u (_horner_sums), which must be a
+        scalar."""
         self._require_fx(u)
         if u.is_zero():
             raise ZeroElement("the norm of zero is not defined")
@@ -426,8 +370,7 @@ class SymbolAlgebra:
 
 class AlgElement:
     """Element of a symbol algebra, immutable: ``entries`` maps (i, j) to
-    the coefficient of x^i y^j.  Exact zeros are never stored; an inexact
-    Laurent coefficient with no certified terms is."""
+    the coefficient of x^i y^j.  Zero coefficients are never stored."""
 
     __slots__ = ("algebra", "entries")
 
@@ -445,17 +388,9 @@ class AlgElement:
     def is_zero(self):
         return not self.entries
 
-    def _certified_zero(self):
-        """No coefficient has a certified term, the scalars' question."""
-        return all(c._certified_zero() for c in self.entries.values())
-
     def is_scalar(self):
-        """The coefficient of 1 when the element lies in F*1, else None;
-        undecided (PrecisionExhausted) when no other coefficient is certified."""
-        off = [c for ij, c in self.entries.items() if ij != (0, 0)]
-        if off and all(c._certified_zero() for c in off):
-            raise PrecisionExhausted("window too small to decide whether an element is a scalar")
-        return None if off else self.coeff(0, 0)
+        """The coefficient of 1 when the element lies in F*1, else None."""
+        return None if any(ij != (0, 0) for ij in self.entries) else self.coeff(0, 0)
 
     # operators -----------------------------------------------------------
     def _coerce(self, other):
@@ -555,14 +490,11 @@ class AdComponents(tuple):
 def _over_common_denominator(entries, p):
     """(numerators, d) with each coefficient of entries the term map
     numerators[ij] over the term map d, the lcm of the coefficients'
-    denominators (None when none has one); None when some coefficient is a
-    series.  The lcm takes one gcd per further distinct denominator."""
+    denominators (None when none has one).  The lcm takes one gcd per
+    further distinct denominator."""
     numerators, dens = {}, {}
     for ij, c in entries.items():
-        f = c._fraction()
-        if f is None:
-            return None
-        numerators[ij], d = f
+        numerators[ij], d = c._fraction()
         if d is not None:
             dens[ij] = frozenset(d.items()), d
     if not dens:

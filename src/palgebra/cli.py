@@ -6,18 +6,21 @@ for elements); --let name=expr binds an extra name, an ASCII identifier.
 Output is a text report with one verification line per checked relation;
 --json emits the same data as a machine-readable object with fixed key order.
 
-Every check line carries a verdict reached on certified terms: two values
-agree when their difference has no certified term (fields.certified_equal),
-so over Laurent fields a difference such as 0 + O(a^5) passes although the
-two sides print differently.  The counterexample counts compare integers.
+Every check line carries a verdict reached by exact comparison: two
+values agree when their difference is zero (fields.certified_equal).
+Over the Laurent field too every value is an exact rational function of
+a and b; --precision only sets how far a value whose denominator is not a
+monomial is expanded in print, as terms and a trailing + O(...), while a
+Laurent polynomial prints exactly.  The counterexample counts compare
+integers.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
 input error: malformed syntax, a -p that is not prime or exceeds
 fields.MAX_PRIME (2^16), a zero right slot, a division by zero or by a
 zero divisor inside an input expression, a --let name that is not an
 ASCII identifier or rebinds a, b, x or y, --precision over a rational
-field, a --precision below 1, a counterexample --samples below 1, or a
-scale --u that is zero or has y.
+field, a --precision below 1 or above fields.MAX_PRECISION, a
+counterexample --samples below 1, or a scale --u that is zero or has y.
 """
 
 from __future__ import annotations
@@ -84,8 +87,7 @@ class Report:
         self.checks.append(CheckLine(relation, str(expected), str(computed), ok, brief))
 
     def compare(self, relation, expected, computed, brief=False):
-        """One check line whose verdict is that its two sides agree on
-        certified terms."""
+        """One check line whose verdict is that its two sides are equal."""
         self.check(relation, certified_equal(expected, computed), expected, computed, brief)
 
     @property
@@ -127,7 +129,7 @@ class Report:
         return json.dumps(payload, indent=2)
 
 
-# the window of a Laurent field, and counterexample's, unless --precision is given
+# the precision of a Laurent field, and counterexample's, unless --precision is given
 DEFAULT_PRECISION = 8
 
 
@@ -152,7 +154,8 @@ def _build_parser():
             sp.add_argument(f"--{opt}", required=True, metavar="ELEM", help=f"element expression {opt}")
         if slots:
             sp.add_argument("--field", choices=["rational", "laurent"], default="rational")
-            sp.add_argument("--precision", type=int, default=None, help="window for laurent fields")
+            sp.add_argument("--precision", type=int, default=None,
+                            help="how far laurent values are expanded in print")
             sp.add_argument("--let", action="append", default=[], metavar="NAME=EXPR",
                             help="bind a scalar name usable in expressions")
         sp.add_argument("--json", action="store_true", help="emit a JSON report")

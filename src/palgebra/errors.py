@@ -10,7 +10,10 @@ class DivisionByZero(PAlgebraError, ZeroDivisionError):
 
 
 class PrecisionExhausted(PAlgebraError):
-    """A truncated Laurent computation cannot certify the requested fact."""
+    """A truncated Laurent computation cannot certify the requested fact.
+
+    No arithmetic raises it: every Laurent scalar is an exact rational
+    function.  It stays a public name, which perfbench/tracer.py counts."""
 
 
 class ZeroValue(PAlgebraError):

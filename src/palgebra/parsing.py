@@ -65,11 +65,11 @@ def tokenize(text):
 
 
 def _degree(value):
-    """The largest |i| + |j| over the stored terms a^i b^j of a scalar's
-    numerator, denominator or Laurent terms, or of every coefficient's."""
+    """The largest i + j over the terms a^i b^j of a scalar's numerator
+    and denominator, or of every coefficient's."""
     scalars = value.entries.values() if isinstance(value, AlgElement) else (value,)
-    maps = [m for c in scalars for m in c._fraction() or (c.terms,) if m]
-    return max((abs(i) + abs(j) for m in maps for i, j in m), default=0)
+    maps = [m for c in scalars for m in c._fraction() if m]
+    return max((i + j for m in maps for i, j in m), default=0)
 
 
 def is_name(text):

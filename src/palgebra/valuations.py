@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedSlot,
     ZeroValue,
 )
-from .fields import FieldDescriptor, Value, _certified_leading, certified_equal
+from .fields import FieldDescriptor, Value, _leading, certified_equal
 from .sampling import random_fx_element
 
 
@@ -87,7 +87,7 @@ class ValuedAlgebra:
             raise UnsupportedSlot("v(beta) is divisible by p; cosets of j*v(y) collapse")
         self.algebra = algebra
         self.v_y = Value.of(va, vb).divided_by(algebra.p)
-        # a value (0, 0) is a certified leading term a^0 b^0: a nonzero residue
+        # a value (0, 0) is a leading term a^0 b^0: a nonzero residue
         try:
             alpha_unit = _leading(algebra.alpha) == (0, 0)
         except ZeroValue:
@@ -130,7 +130,7 @@ class ValuedAlgebra:
     def value_group(self) -> ValueGroupReport:
         """Lattice generated by Z^2 and v(y), normalized."""
         beta = self.algebra.beta
-        if len(beta.terms) != 1 or not beta.exact:
+        if len(beta.num) != 1 or len(beta.den) != 1:
             raise UnsupportedSlot("value group reporting needs a monomial right slot")
         p = self.algebra.p
         basis_int = _value_lattice(p, *self._beta_exp)
@@ -142,11 +142,6 @@ class ValuedAlgebra:
             basis=basis,
             description=_describe_lattice(basis),
         )
-
-
-def _leading(c):
-    """v(c) as the int pair (ea, eb), raising as fields.valuation does."""
-    return _certified_leading(c, ZeroValue("the zero scalar has no value"))
 
 
 def _value_lattice(p, u, w):
@@ -240,7 +235,7 @@ def counterexample_check(p, precision, samples, seed) -> CounterexampleReport:
     group_b = va_b.value_group().description
 
     rng = random.Random(seed)
-    # coefficient exponents stay inside the window
+    # coefficient exponents stay below the precision
     max_degree = min(2, precision - 1)
     records = []
     all_distinct = True

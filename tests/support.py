@@ -3,6 +3,7 @@ per-coefficient product oracle, the dense inverse oracle, the shifts in
 F[x], the Laurent expansion oracle, the general two-column Hermite form
 and the Gauss value in Fraction arithmetic."""
 
+import dataclasses
 from math import comb, gcd
 from pathlib import Path
 
@@ -74,7 +75,7 @@ def basis_product(A, i1, j1, i2, j2):
     if j >= p:
         j -= p
         coeffs = [c * A.beta for c in coeffs]
-    return [((e, j), c) for e, c in enumerate(coeffs) if not c._surely_zero()]
+    return [((e, j), c) for e, c in enumerate(coeffs) if not c.is_zero()]
 
 
 def mul_reference(A, s, t):
@@ -108,11 +109,11 @@ def inverse_dense(A, t):
     kind, vec = _solve_or_null(mt, rhs, zero, one)
     if kind == "null":
         witness = A.from_entries(
-            {divmod(m, p): c for m, c in enumerate(vec) if not c._surely_zero()}
+            {divmod(m, p): c for m, c in enumerate(vec) if not c.is_zero()}
         )
         raise NotInvertible("element is a zero divisor", witness=witness)
     s = A.from_entries(
-        {divmod(m, p): c for m, c in enumerate(vec) if not c._surely_zero()}
+        {divmod(m, p): c for m, c in enumerate(vec) if not c.is_zero()}
     )
     if not (
         A.certified_equal(A.mul(s, t), A.one())
@@ -135,7 +136,7 @@ def _solve_or_null(matrix, rhs, zero, one):
     for col in range(n):
         piv = None
         for r in range(row, n):
-            if not m[r][col]._surely_zero():
+            if not m[r][col].is_zero():
                 piv = r
                 break
         if piv is None:
@@ -144,7 +145,7 @@ def _solve_or_null(matrix, rhs, zero, one):
         inv = one / m[row][col]
         m[row] = [inv * v for v in m[row]]
         for r in range(n):
-            if r != row and not m[r][col]._surely_zero():
+            if r != row and not m[r][col].is_zero():
                 f = m[r][col]
                 m[r] = [v - f * w for v, w in zip(m[r], m[row])]
         pivot_of_col[col] = row
@@ -192,9 +193,10 @@ def shifts_product(A, u, first=0):
 
 
 # --- reference path: Laurent expansion of a rational function ----------------
-# An independent cross-check for LaurentScalar.inverse: the terms of num/den in
-# F_p((a))((b)) solved one by one from den * q = num, b-level by b-level and
-# upward in a inside each level, with no series inverse.
+# A cross-check for the terms LaurentScalar prints (fields._expansion): the
+# terms of num/den in F_p((a))((b)) solved one by one from den * q = num,
+# b-level by b-level and upward in a inside each level, over a range of
+# a-exponents at every level rather than over the terms a level holds.
 
 def laurent_expansion(c, ta, tb):
     """The terms of the rational scalar c with ea < ta and eb < tb."""
@@ -260,3 +262,30 @@ def gauss_value_reference(va, t):
     if best is None:
         raise ZeroValue("the zero element has no value")
     return best
+
+
+# --- comparing the two fields ----------------------------------------------
+# A Laurent scalar and a rational one are equal values when they are the
+# same canonical fraction.
+
+def fractions_of(value):
+    """value with each scalar read as its (num, den): an element as the
+    map (i, j) -> (num, den) of its coefficients, a tuple or list item by
+    item, a dataclass such as a witness or a report field by field but its
+    base field, and anything else as it is."""
+    if hasattr(value, "num"):
+        return value.num, value.den
+    if hasattr(value, "entries"):
+        return {ij: fractions_of(c) for ij, c in value.entries.items()}
+    if dataclasses.is_dataclass(value):
+        return {f.name: fractions_of(getattr(value, f.name))
+                for f in dataclasses.fields(value) if f.name != "field"}
+    if isinstance(value, (tuple, list)):
+        return [fractions_of(v) for v in value]
+    return value
+
+
+def copy_to(A, t):
+    """The element t of another algebra over the same prime as an element
+    of A, coefficient by coefficient as the same fractions."""
+    return A.from_entries({ij: A.field.from_terms(c.num, c.den) for ij, c in t.entries.items()})

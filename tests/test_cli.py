@@ -57,6 +57,15 @@ def test_golden_counterexample(capsys):
     assert out == (GOLDENS / "counterexample_p2.txt").read_text()
 
 
+def test_golden_eval_laurent(capsys):
+    # a series (1/(1+a)), a Laurent polynomial (a/b) and a non-monomial
+    # denominator that is not a unit (1/(a+b)), each in its printed box
+    code, out, _ = run(capsys, "eval", "-p", "3", "--field", "laurent", "--alpha", "a",
+                       "--beta", "b", "--expr", "(1/(1+a))*x + (a/b)*y + 1/(a+b)")
+    assert code == 0
+    assert out == (GOLDENS / "eval_laurent_p3.txt").read_text()
+
+
 # --- verbs ------------------------------------------------------------------------
 
 def test_eval_normalizes(capsys):
@@ -113,12 +122,12 @@ def test_laurent_field_eval(capsys):
 
 
 def test_laurent_let_inverts_a_scalar_with_an_exact_a_axis(capsys):
-    # 1/(1+b) - 1 stores every a-term of its b-levels: its leading term -b
-    # is certified, so the scalar inverse -(1+b)/b is decided
+    # 1/(1/(1+b) - 1) = -(1+b)/b, a Laurent polynomial: it prints exactly,
+    # where the series inverse certified it only below b^6
     code, out, _ = run(capsys, "eval", "-p", "3", "--field", "laurent", "--alpha", "a",
                        "--beta", "b", "--let", "u=1/(1/(1+b) - 1)", "--expr", "u*x")
     assert code == 0
-    assert "normal_form = ((2 + 2*b)/b + O(b^6))*x" in out
+    assert "normal_form = ((2 + 2*b)/b)*x" in out
 
 
 @pytest.mark.parametrize("expr", ["1/(1/(1+a))", "1/(1/(1+b) - 1)"])
@@ -167,22 +176,23 @@ def test_json_conjugation_checks_carry_computed_elements(capsys):
 
 
 def test_laurent_conjugation_check_is_certified_not_textual(capsys):
-    # products that differ only beyond the window print differently and
-    # pass; a difference in a certified term fails
+    # the check compares values, not text.  u * (1 + a) - 1 was 0 + O(a^5),
+    # and adding it once made the sides print differently; it is exactly
+    # zero, so the sides agree, and a nonzero difference fails
     field = FieldDescriptor("laurent", 3, 5)
     A = make_algebra(3, field.one(), field.gen("a"), field)
     _, witness, _ = scale_slot_by_norm(A, A.one() + field.gen("a") * A.x())
     u = parse_scalar("1/(1+a)", field)
-    remainder = u * (1 + field.gen("a")) - 1  # 0 + O(a^5)
+    remainder = u * (1 + field.gen("a")) - 1
+    assert remainder.is_zero()
     report = Report("scale", {})
     relation = "(u y) x (u y)^-1 = x + 1"
     for extra in (remainder, field.one()):
         z1w = witness.z1w + extra * A.x()
         report.compare(relation, z1w, witness.wz, brief=True)
-    uncertified, certified = report.checks
-    assert "O(a^5)" in uncertified.expected and uncertified.expected != uncertified.computed
-    assert uncertified.ok
-    assert not certified.ok
+    same, different = report.checks
+    assert same.ok and same.expected == same.computed
+    assert not different.ok
     code, out, _ = run(capsys, "scale", "-p", "3", "--alpha", "1", "--beta", "a", "--u",
                        "1 + a*x", "--field", "laurent", "--precision", "5")
     assert code == 0
@@ -190,23 +200,24 @@ def test_laurent_conjugation_check_is_certified_not_textual(capsys):
 
 
 def test_laurent_decompose_checks_pass_on_certified_terms(capsys):
-    # the sum and the t_0 eigen relation differ only by 0 + O(a^5) entries:
-    # the sides print differently and the relations hold
+    # the sum and the t_0 eigen relation once differed by 0 + O(a^5)
+    # entries and printed differently; both sides are now the same values
     code, out, _ = run(capsys, "decompose", "-p", "3", "--alpha", "a", "--beta", "b",
                        "--t", "(1/(1+a))*y+x", "--field", "laurent", "--precision", "5", "--json")
     assert code == 0
     checks = json.loads(out)["checks"]
     assert len(checks) == 4 and all(chk["pass"] for chk in checks)
-    assert checks[0]["expected"] != checks[0]["computed"]
+    assert all(chk["expected"] == chk["computed"] for chk in checks)
 
 
 def test_laurent_lemma_hypothesis_is_decided_on_certified_terms(capsys):
-    # y x - x y is t plus an x*y entry 0 + O(a^5), so k = 1 holds; the shift
-    # check's inverse may still run out of window, which is not a failed hypothesis
-    code, _, err = run(capsys, "verify-lemma", "-p", "3", "--x", "x", "--t", "(1/(1+a))*y",
-                       "--alpha", "a", "--beta", "b", "--field", "laurent", "--precision", "5")
-    assert code in (0, 1)
-    assert "HypothesisFails" not in err
+    # y x - x y was t plus an x*y entry 0 + O(a^5), and the shift check's
+    # inverse could run out of window; y x - x y = t exactly, and the
+    # lemma passes
+    code, out, err = run(capsys, "verify-lemma", "-p", "3", "--x", "x", "--t", "(1/(1+a))*y",
+                         "--alpha", "a", "--beta", "b", "--field", "laurent", "--precision", "5")
+    assert (code, err) == (0, "")
+    assert "k = 1" in out and out.endswith("result: PASS\n")
 
 
 LEMMA_WITH_A_SERIES = ("verify-lemma", "--x", "x", "--t", "(1/(1+a) + x)*y", "--beta", "b")
@@ -214,25 +225,17 @@ LEMMA_WITH_A_SERIES = ("verify-lemma", "--x", "x", "--t", "(1/(1+a) + x)*y", "--
 
 @pytest.mark.parametrize("p, alpha, window", [
     (p, alpha, window) for p in (2, 3, 5) for alpha in ("a", "0") for window in (5, 8)
-    if (p, alpha, window) != (2, "a", 5)
 ])
 def test_laurent_lemma_with_a_series_coefficient_passes(capsys, p, alpha, window):
-    # the shift check inverts scalars whose tracked lower bound la is loose;
+    # the shift check inverts scalars whose tracked lower bound la was loose;
     # the series inverse once gave up every a-bound on them, its check product
     # certified no term and the lemma was undecided where the rational field
-    # passes
+    # passes, at p = 2 and window 5 until the scalars were made exact
     argv = (*LEMMA_WITH_A_SERIES, "-p", str(p), "--alpha", alpha)
     assert run(capsys, *argv)[0] == 0
     code, out, _ = run(capsys, *argv, "--field", "laurent", "--precision", str(window))
     assert code == 0
     assert out.endswith("result: PASS\n")
-
-
-def test_laurent_lemma_with_a_series_coefficient_stays_undecided_at_p2_window_5(capsys):
-    code, out, err = run(capsys, *LEMMA_WITH_A_SERIES, "-p", "2", "--alpha", "a",
-                         "--field", "laurent", "--precision", "5")
-    assert (code, out) == (1, "")
-    assert err == "palgebra: PrecisionExhausted: window too small to certify the inverse\n"
 
 
 def test_scale_computes_the_norm_once(capsys, monkeypatch):
@@ -386,7 +389,7 @@ def run_contract(contract):
 
 INVALID = "palgebra: invalid input: "
 SYNTAX = "palgebra: syntax error: "
-EXHAUSTED = re.compile("^palgebra: PrecisionExhausted:")
+PASSES = re.compile(r"result: PASS\n\Z")
 
 CONTRACTS = {
     # the cap is read before any primality test, which would not finish
@@ -426,36 +429,57 @@ CONTRACTS = {
         for key, flags in (("text", ""), ("json", " --json"))
     },
     "laurent_slot_with_a_non_monomial_denominator": [
-        Contract('identity -p 7 --alpha a --beta "1/(a+b)" --field laurent', 0,
-                 re.compile(r"result: PASS\n\Z")),
+        Contract('identity -p 7 --alpha a --beta "1/(a+b)" --field laurent', 0, PASSES),
     ],
-    # still open (CHANGES.md's FOUND line on Laurent slots with a non-monomial
-    # denominator): a fix flips this row to exit 0
-    "laurent_link_with_a_non_monomial_denominator_exit_1": [
-        Contract('link -p 7 --alpha a/b --gamma a/b+a --beta "1/(a+b)" --field laurent', 1, "",
-                 "palgebra: PrecisionExhausted: cannot bound the inverse's support\n"),
+    # the series inverse could not bound the support of a lambda with a
+    # non-monomial denominator and exited 1 (PrecisionExhausted)
+    "laurent_link_with_a_non_monomial_denominator": [
+        Contract('link -p 7 --alpha a/b --gamma a/b+a --beta "1/(a+b)" --field laurent', 0,
+                 PASSES, ""),
     ],
-    # an off-diagonal coefficient with no certified term is not evidence that
-    # w^p or a norm is not a scalar: the window is too small, not the maths wrong
-    "undecided_laurent_witness_is_precision_exhausted": {
-        f"argv{i}": Contract(command + " --field laurent", 1, err=EXHAUSTED)
+    # w^p and N(u) once kept off-diagonal coefficients 0 + O(a^k) and exited
+    # 1 (PrecisionExhausted); Laurent scalars are exact, and these pass as
+    # they do over F_p(a, b)
+    "laurent_witness_with_a_series_coefficient_is_decided": {
+        f"argv{i}": Contract(command + " --field laurent", 0, PASSES, "")
         for i, command in enumerate([
             'link -p 2 --alpha a --gamma "1/(1+a)" --beta b',
             'link -p 3 --alpha "1/(1+a)" --gamma a --beta b',
             'scale -p 3 --alpha 1 --beta a --u "1/(1+a) + x" --precision 5',
         ])
     },
-    # beta = (1+a)/(1+a) = 1 + O(a^5): inverting it once raised OverflowError
-    "laurent_slot_equal_to_one_up_to_its_window": [
+    # beta = (1+a)/(1+a) was 1 + O(a^5): inverting it once raised
+    # OverflowError, and later exited 1 (PrecisionExhausted); it is 1
+    "laurent_slot_equal_to_one_is_exactly_one": [
         Contract('link -p 3 --alpha a --gamma a+b --beta "(1+a)/(1+a)" --field laurent '
-                 '--precision 5', 1, "", EXHAUSTED),
+                 '--precision 5', 0, re.compile(r"^input beta = 1$.*result: PASS\n\Z",
+                                                re.M | re.S), ""),
     ],
-    # at window 1 the check products certify no term at all, so the inverse
-    # is undecided; it once printed a normal form and "result: PASS"
-    "laurent_inverse_with_no_certified_check_exits_1": [
+    # at window 1 the check products once certified no term at all, and the
+    # inverse was undecided (exit 1); now it is exact and checked exactly,
+    # and only its print is cut to window 1
+    "laurent_inverse_at_precision_1_is_checked_exactly": [
         Contract('eval -p 3 --alpha 1 --beta a --field laurent --precision 1 '
-                 '--expr "1/(a + a*y + b*x*y + a*x*y^2 + a*x^2 + b*x^2*y^2)"', 1, "",
-                 "palgebra: PrecisionExhausted: window too small to certify the inverse\n"),
+                 '--expr "1/(a + a*y + b*x*y + a*x*y^2 + a*x^2 + b*x^2*y^2)"', 0,
+                 re.compile(r"^normal_form = \(0 \+ O\(a\^-1, b\^1\)\) \+ .*\(2/a \+ "
+                            r"O\(a\^0, b\^1\)\)\*x \+ ", re.M), ""),
+    ],
+    # a printed series has about precision^2 / 2 terms: 1,000 took 0.8 s and
+    # printed 1.6 MB, 100,000 ran on past 60 s
+    "precision_above_the_cap_exits_2_at_once": [
+        Contract('eval -p 3 --field laurent --precision 100000 --alpha a --beta b '
+                 '--expr "1/(1+a+b)"', 2, "",
+                 f"{INVALID}precision 100000 exceeds the largest supported precision 128\n",
+                 budget=5),
+        Contract("counterexample -p 3 --precision 129", 2, "",
+                 f"{INVALID}precision 129 exceeds the largest supported precision 128\n",
+                 budget=5),
+    ],
+    # 0.06 s in-process on a 2-core machine
+    "precision_at_the_cap_is_accepted": [
+        Contract('eval -p 3 --field laurent --precision 128 --alpha a --beta b '
+                 '--expr "1/(1+a+b)"', 0, re.compile(r" \+ O\(a\^128, b\^128\)\)\n"),
+                 budget=5),
     ],
     # N(x) = x^2 + x = 0 in [0, b)_2, so w = x y is nilpotent
     "zero_divisor_generator_exits_1": [

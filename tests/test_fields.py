@@ -1,6 +1,7 @@
 """Scalar arithmetic: rational functions, bi-Laurent series, values."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from palgebra import (
     FieldDescriptor,
     InvalidPrime,
     LaurentScalar,
-    PrecisionExhausted,
     RatFunc,
     Value,
     ZeroValue,
@@ -20,10 +20,11 @@ from palgebra import (
     parse_scalar,
     valuation,
 )
-from palgebra.fields import INF, MAX_PRIME, certified_equal
+from palgebra import polys
+from palgebra.fields import INF, MAX_PRECISION, MAX_PRIME, _expansion
 from palgebra.sampling import random_poly_scalar
 
-from support import laurent_expansion, random_rational_function
+from support import fractions_of, laurent_expansion, random_rational_function
 
 RAT2 = FieldDescriptor("rational", 2)
 RAT3 = FieldDescriptor("rational", 3)
@@ -117,13 +118,11 @@ def test_coefficient_is_int_inside_window():
     field = FieldDescriptor("laurent", 5, 4)
     a, b = field.gen("a"), field.gen("b")
     inv = (field.one() - a - b).inverse()  # coefficient (i, j) is C(i+j, i) mod 5
-    assert inv.ha == 4 and inv.hb == 4
     assert inv.coefficient(3, 1) == 4 and type(inv.coefficient(3, 1)) is int
     assert inv.coefficient(2, 3) == 0 and type(inv.coefficient(2, 3)) is int
-    with pytest.raises(PrecisionExhausted):
-        inv.coefficient(4, 0)
-    with pytest.raises(PrecisionExhausted):
-        inv.coefficient(0, 4)
+    # the value is exact, so terms outside the printed box are known too
+    assert inv._box() == (4, 4)
+    assert inv.coefficient(4, 0) == 1 and inv.coefficient(6, 2) == 3
     exact = 2 * a - b
     assert exact.coefficient(1, 0) == 2 and exact.coefficient(0, 1) == 4
     assert exact.coefficient(100, 100) == 0
@@ -133,30 +132,27 @@ def test_geometric_series_with_window():
     field = FieldDescriptor("laurent", 2, 4)
     b = field.gen("b")
     inv = (field.one() - b).inverse()
-    assert inv.terms == {(0, 0): 1, (0, 1): 1, (0, 2): 1, (0, 3): 1}
-    assert inv.hb == 4 and inv.ha == INF
-    assert not inv.exact
+    assert fractions_of(inv) == ({(0, 0): 1}, {(0, 0): 1, (0, 1): 1})
+    assert inv.terms is None and inv._box() == (INF, 4)
+    assert str(inv) == "1 + b + b^2 + b^3 + O(b^4)"
 
 
 def test_monomial_inverse_is_exact():
     field = LAU[3]
     a = field.gen("a")
     inv = (2 * (a * a)).inverse()
-    assert inv.exact and inv.terms == {(-2, 0): 2}  # 1/2 = 2 in F_3
+    assert inv.terms == {(-2, 0): 2}  # 1/2 = 2 in F_3
     assert (2 * (a * a)) * inv == field.one()
 
 
 def test_inverse_of_one_up_to_the_window():
-    # 1 + O(a^5): the correction w = 0 + O(a^5) stores no terms, so the
-    # inverse is the leading monomial's inverse certified to w's window
+    # (1 + a)/(1 + a) was 1 + O(a^5), and its inverse known only to that
+    # window; it is exactly 1
     field = FieldDescriptor("laurent", 3, 5)
     a, one = field.gen("a"), field.one()
     x = (one + a) / (one + a)
-    assert x.terms == {(0, 0): 1} and (x.ha, x.hb) == (5, INF)
-    inv = x.inverse()
-    assert inv.terms == {(0, 0): 1} and (inv.ha, inv.hb) == (5, INF)
-    assert certified_equal(x * inv, one)
-    assert certified_equal((x * a).inverse() * a, one)
+    assert x == one and x.inverse() == one and str(x) == "1"
+    assert (x * a).inverse() * a == one
 
 
 def test_inverse_of_a_plus_b_drags_a_exponents():
@@ -165,9 +161,10 @@ def test_inverse_of_a_plus_b_drags_a_exponents():
     inv = (a + b).inverse()
     # 1/(a+b) = a^-1 - a^-2 b + a^-3 b^2 - ...
     for k in range(4):
-        assert inv.terms[(-k - 1, k)] == (1 if k % 2 == 0 else 4)
+        assert inv.coefficient(-k - 1, k) == (1 if k % 2 == 0 else 4)
+    assert str(inv).endswith(" + O(b^6)")
     prod = (a + b) * inv
-    assert prod.terms == {(0, 0): 1}
+    assert prod == field.one()
     assert valuation(prod) == Value.of(0, 0)
 
 
@@ -187,29 +184,20 @@ def test_laurent_matches_rational_on_polynomials():
 
 def test_frobenius_scales_the_window():
     field = FieldDescriptor("laurent", 2, 4)
-    inv = (field.one() - field.gen("b")).inverse()
-    frob = frobenius(inv)
-    # (1/(1-b))^2 = 1/(1-b^2) = 1 + b^2 + b^4 + b^6 below the scaled window
-    assert frob.terms == {(0, 0): 1, (0, 2): 1, (0, 4): 1, (0, 6): 1}
-    assert frob.hb == 8 and frob.ha == INF
-
-
-def test_window_shrinks_through_products():
-    field = FieldDescriptor("laurent", 3, 5)
     b = field.gen("b")
-    inv = (field.one() - b).inverse()  # window b^5
-    shifted = inv * b  # certified only below b^6 now
-    assert shifted.hb == 6
-    assert shifted.terms == {(0, j): 1 for j in range(1, 6)}
-    # multiplying by an exact zero collapses to the exact zero
-    assert (inv * field.zero())._surely_zero()
+    inv = (field.one() - b).inverse()
+    frob = frobenius(inv)
+    # (1/(1-b))^2 = 1/(1-b^2) exactly, so every term below the scaled
+    # window b^8 is known; the printer shows the box of that fraction
+    assert frob == (field.one() - b * b).inverse()
+    assert [frob.coefficient(0, j) for j in range(8)] == [1, 0, 1, 0, 1, 0, 1, 0]
+    assert str(frob) == "1 + b^2 + O(b^4)"
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_laurent_expression_matches_exact_value_inside_window(p):
-    # the exact value over F_p(a, b), expanded by support.laurent_expansion,
-    # is the oracle for window soundness: the Laurent value of the same text
-    # must agree with it on every term the window certifies
+    # the Laurent value of a text is the value over F_p(a, b), the same
+    # num/den, at every precision
     rat = FieldDescriptor("rational", p)
     for window in (3, 6, 8):
         lau = FieldDescriptor("laurent", p, window)
@@ -220,14 +208,7 @@ def test_laurent_expression_matches_exact_value_inside_window(p):
             if g.is_zero():
                 continue
             text = f"({f})/({g}) + {h}"
-            exact = parse_scalar(text, rat)
-            approx = parse_scalar(text, lau)
-            ta, tb = min(approx.ha, 40), min(approx.hb, 40)
-            want = {} if exact.is_zero() else laurent_expansion(exact, ta, tb)
-            have = {m: c for m, c in approx.terms.items() if m[0] < ta and m[1] < tb}
-            assert have == want, (window, text)
-            # the window certifies a nonempty box of terms
-            assert approx.ha > approx.la and approx.hb > approx.lb
+            assert fractions_of(parse_scalar(text, lau)) == fractions_of(parse_scalar(text, rat))
             done += 1
 
 
@@ -239,11 +220,14 @@ def test_laurent_expression_matches_exact_value_inside_window(p):
 def test_series_inverse_through_a_term_of_negative_a_exponent(p, window, text, ha, hb):
     # w = b/a lowers the a-exponent of a product, so a power of w can carry
     # terms back into the window after a power that stores none there.  The
-    # inverse once stopped at that power and certified wrong terms.
+    # series inverse once stopped at that power and certified wrong terms.
+    # The printed box is the one that inverse had; its terms are the
+    # expansion of the value over F_p(a, b).
     rat = FieldDescriptor("rational", p)
     approx = parse_scalar(text, FieldDescriptor("laurent", p, window))
-    assert (approx.ha, approx.hb) == (ha, hb)
-    assert approx.terms == laurent_expansion(parse_scalar(text, rat), ha, hb)
+    assert approx._box() == (ha, hb)
+    printed = _expansion(approx.num, approx.den, p, ha, hb)
+    assert printed == laurent_expansion(parse_scalar(text, rat), ha, hb)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -251,69 +235,88 @@ def test_series_inverse_through_a_term_of_negative_a_exponent(p, window, text, h
     "1/(1+b) - 1", "b/(1+b)", "1/(1+b) - 1 + b^2", "(1+b)^2/(1+b^3) - 1",
 ])
 def test_inverse_reads_the_leading_term_as_valuation_does(p, text):
-    # these scalars store every a-term of their b-levels (ha infinite); all
-    # but b/(1+b) have lb below the lowest stored level, where valuation
-    # certified the leading term and inverse once raised on it
+    # these scalars have every a-term of their b-levels in print (ha
+    # infinite); their leading term once went uncertified by inverse where
+    # valuation certified it
     rat = FieldDescriptor("rational", p)
     approx = parse_scalar(text, LAU[p])
-    assert approx.ha == INF
+    assert approx._box()[0] == INF
     inv = approx.inverse()
     assert valuation(inv) == Value.of(0, 0) - valuation(approx)
-    assert inv.terms == laurent_expansion(1 / parse_scalar(text, rat), 40, inv.hb)
-
-
-def test_adding_an_exact_zero_keeps_the_lower_bounds():
-    # an exact zero bounds nothing; a sum with one once lowered la and lb to
-    # 0, and products whose term pairs cancel exactly then lost their bounds
-    field = FieldDescriptor("laurent", 3, 8)
-    x = parse_scalar("a^2*b^2/(1+a)", field)
-    assert (x.la, x.lb) == (2, 2)
-    for s in (x + field.zero(), field.zero() + x):
-        assert s == x and (s.la, s.lb) == (2, 2)
-
-
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_inverse_bounds_its_correction_by_the_stored_terms(p):
-    # c = a^3*b + a^5*b + a^7*b + O(a^8) stores a loose la = 0, so the
-    # correction w = c/(a^3 b) - 1 tracks la = -3; with hb infinite its
-    # unstored terms have ea >= 5, so its support starts at a^2.  The inverse
-    # once took la = -inf from w, and c * (1/c) then certified no term.
-    c = LaurentScalar(p, 8, {(3, 1): 1, (5, 1): 1, (7, 1): 1}, ha=8, lb=1)
-    assert c.la == 0
-    inv = c.inverse()
-    assert inv.la > -INF
-    prod = c * inv
-    assert prod.coefficient(0, 0) == 1
-    # a^3*b/(1 - a^2) is a value with exactly c's certified terms
-    exact = parse_scalar("a^3*b/(1-a^2)", FieldDescriptor("rational", p))
-    assert c.terms == laurent_expansion(exact, 8, 40)
-    assert inv.terms == laurent_expansion(1 / exact, inv.ha, 40)
-    assert prod.terms == {(0, 0): 1}
+    assert fractions_of(inv) == fractions_of(1 / parse_scalar(text, rat))
 
 
 def test_laurent_zero_division_and_precision_errors():
     field = LAU[2]
-    one = field.one()
     with pytest.raises(DivisionByZero):
-        one / field.zero()
-    foggy = LaurentScalar(2, 8, {}, ha=4, hb=4)  # empty but uncertified
-    with pytest.raises(PrecisionExhausted):
-        foggy.is_zero()
-    with pytest.raises(PrecisionExhausted):
-        valuation(foggy)
+        field.one() / field.zero()
+    with pytest.raises(DivisionByZero):
+        field.zero().inverse()
+    with pytest.raises(ValueError, match="precision must be positive"):
+        FieldDescriptor("laurent", 2, 0)
 
 
-@pytest.mark.parametrize("scalar", [
-    LaurentScalar(3, 8, {}, ha=4, hb=4),  # no stored term
-    LaurentScalar(3, 8, {(0, 1): 1}, ha=4, hb=8, la=0, lb=0),  # b^1 leads only if lb = 1
-])
-def test_valuation_and_inverse_share_one_leading_term_check(scalar):
-    # one check decides the leading term for both, with one message each case
-    with pytest.raises(PrecisionExhausted) as by_valuation:
-        valuation(scalar)
-    with pytest.raises(PrecisionExhausted) as by_inverse:
-        scalar.inverse()
-    assert str(by_valuation.value) == str(by_inverse.value)
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("seed", range(4))
+def test_printed_terms_times_the_denominator_give_the_numerator(p, seed):
+    # an oracle apart from the printer's expansion: the printed terms q of
+    # N/D, read back from the text, satisfy q * D = N on every monomial that
+    # the printed box determines: ea < ha + (the least a-exponent of D) and
+    # eb < hb + (the least b-exponent of D), shifted into the box of N
+    rat = FieldDescriptor("rational", p)
+    rng = random.Random(f"print {p} {seed}")
+    checked = matched = 0
+    while checked < 25:
+        window = rng.randint(1, 9)
+        lau = FieldDescriptor("laurent", p, window)
+        num = random_poly_scalar(rng, rat, max_degree=3, max_terms=3, nonzero=True)
+        den = random_poly_scalar(rng, rat, max_degree=2, max_terms=3, nonzero=True)
+        c = lau.from_terms(num.num) / lau.from_terms(den.num)
+        if c.terms is not None:
+            continue
+        ha, hb = c._box()
+        q = _read_printed(str(c), p)
+        d_la = min(ea for ea, _ in c.den)
+        d_lb = min(eb for _, eb in c.den)
+        prod = polys.p_mul(q, c.den, p)
+        for (ea, eb) in set(prod) | set(c.num):
+            if ea < ha + d_la and eb < hb + d_lb:
+                assert prod.get((ea, eb), 0) == c.num.get((ea, eb), 0), (str(c), ea, eb)
+                matched += (ea, eb) in c.num
+        checked += 1
+    # the region holds terms of N, 28 to 43 per seed, not only zeros
+    assert matched >= 25
+
+
+def _read_printed(text, p):
+    """The Laurent terms of a printed series "body + O(...)", its body a
+    sum of c*a^i*b^j, in parentheses over a monomial when it has one."""
+    body = text.rsplit(" + O(", 1)[0]
+    shift = (0, 0)
+    match = re.fullmatch(r"\(?(.*?)\)?/\(?([^()]*)\)?", body)
+    if match:
+        body, den = match.groups()
+        shift = _read_monomial(den)[0]
+    terms = {}
+    for part in body.split(" + "):
+        (ea, eb), c = _read_monomial(part)
+        terms[(ea - shift[0], eb - shift[1])] = c % p
+    return terms
+
+
+def _read_monomial(text):
+    """((ea, eb), c) of a printed monomial such as 2*a^3*b or a or 4."""
+    ea = eb = 0
+    c = 1
+    for factor in text.split("*"):
+        name, _, exp = factor.partition("^")
+        if name == "a":
+            ea = int(exp or 1)
+        elif name == "b":
+            eb = int(exp or 1)
+        else:
+            c = int(name)
+    return (ea, eb), c
 
 
 # --- scalar valuation ---------------------------------------------------------
@@ -387,7 +390,7 @@ def test_descriptor_validation():
         FieldDescriptor("laurent", 3)
     desc = FieldDescriptor("laurent", 3, 6)
     assert desc.owns(desc.one()) and not desc.owns(RAT3.one())
-    # a Laurent field owns only scalars of its own window
+    # a Laurent field owns only scalars of its own precision
     assert not desc.owns(FieldDescriptor("laurent", 3, 8).one())
     assert not desc.owns(FieldDescriptor("laurent", 5, 6).one())
 
@@ -399,17 +402,27 @@ def test_descriptor_caps_the_prime():
             FieldDescriptor("laurent", p, 4)
 
 
-def test_fraction_gives_term_maps_or_none_for_a_series():
-    # the one way exact scalars reach the product engine: numerator and
-    # denominator term maps, the denominator None when there is none
+def test_descriptor_caps_the_precision():
+    # a printed series has about precision^2 / 2 terms
+    assert FieldDescriptor("laurent", 3, MAX_PRECISION).precision == MAX_PRECISION
+    with pytest.raises(ValueError, match="exceeds the largest supported precision"):
+        FieldDescriptor("laurent", 3, MAX_PRECISION + 1)
+
+
+def test_fraction_gives_term_maps_for_every_scalar():
+    # the one way scalars reach the product engine: numerator and
+    # denominator term maps, the denominator None when there is none.  A
+    # Laurent scalar is the same fraction, a series too, where it once gave
+    # None and took a scalar loop
     a, b = RAT5.gen("a"), RAT5.gen("b")
     assert (a * b + 2)._fraction() == ({(1, 1): 1, (0, 0): 2}, None)
     assert ((a + 1) / (3 * b))._fraction() == ({(1, 0): 2, (0, 0): 2}, {(0, 1): 1})
     lau = LAU[5]
-    exact = parse_scalar("(a^2 + 3*b)/(a*b^2)", lau)
-    assert exact._fraction() == ({(1, -2): 1, (-1, -1): 3}, None)
+    laurent = parse_scalar("(a^2 + 3*b)/(a*b^2)", lau)
+    assert laurent._fraction() == ({(2, 0): 1, (0, 1): 3}, {(1, 2): 1})
+    assert laurent.terms == {(1, -2): 1, (-1, -1): 3}
     series = lau.one() / (lau.one() + lau.gen("a") + lau.gen("b"))
-    assert not series.exact and series._fraction() is None
+    assert series._fraction() == ({(0, 0): 1}, {(1, 0): 1, (0, 1): 1, (0, 0): 1})
 
 
 @given(st.integers(min_value=-20, max_value=20))

@@ -29,6 +29,8 @@ from palgebra.sampling import (
     random_poly_scalar,
 )
 
+from support import copy_to, fractions_of, random_nonzero_element
+
 RAT = {p: FieldDescriptor("rational", p) for p in (2, 3, 5)}
 
 
@@ -238,9 +240,9 @@ def test_solve_lambda_compares_laurent_scalars_on_certified_terms():
     alpha, a, b = parse_scalar("1/(1+a)", field), field.gen("a"), field.gen("b")
     lam = solve_lambda(alpha, a, b)
     lhs = alpha + b * (alpha - lam)
-    # a + O(a^8) against the exact a: the windows differ, no certified term does
-    assert lhs != a
-    assert (lhs - a)._certified_zero()
+    # once a + O(a^8) against a, equal only on certified terms; now exactly a
+    assert lhs == a
+    assert (lhs - a).is_zero()
 
 
 def test_right_to_left_p2_lambda_a():
@@ -354,3 +356,51 @@ def test_result_serialization_round_trip():
     assert again["lambda"] == "0"
     assert again["common_left"] == str(res.common_left)
     assert set(again["witness_A"]) == {"z", "w", "left", "right"}
+
+
+# --- the Laurent field against the rational field ---------------------------
+
+SWEEP_SLOTS = (("a", "b"), ("1", "a"), ("a/b", "1/(a+b)"), ("1/(1+a)", "b"))
+
+
+def _sweep_calls(p, rng, R):
+    """name -> f(A, into) for the calls the sweep compares, on inputs drawn
+    over the rational algebra R and moved into A by into."""
+    u = random_fx_element(rng, R)
+    t = R.mul(u, R.power(R.y(), rng.randrange(1, p)))
+    g = random_nonzero_element(rng, R, 0.3, sample=lambda r: random_poly_scalar(r, R.field, 1, 2))
+    gamma = random_poly_scalar(rng, R.field, max_degree=1, max_terms=2)
+    return {
+        "inverse": lambda A, into: A.inverse(into(t)),
+        "inverse of a general element": lambda A, into: A.inverse(into(g)),
+        "norm_Fx": lambda A, into: A.norm_Fx(into(u)),
+        "power": lambda A, into: A.power(into(g), p + 1),
+        "ad_decompose": lambda A, into: A.ad_decompose(into(g), A.x()),
+        "right_to_left": lambda A, into: right_to_left(A.alpha, into(gamma), A.beta, p, A.field),
+        "chain_identity": lambda A, into: chain_identity(A),
+        "scale_slot_by_norm": lambda A, into: scale_slot_by_norm(A, into(u)),
+        "verify_lemma": lambda A, into: verify_lemma(A, A.x(), into(t)),
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_laurent_results_are_the_rational_results(p):
+    # every Laurent scalar is a canonical fraction, so each call over
+    # F_p((a))((b)) returns what it returns over F_p(a, b), scalar for
+    # scalar the same (num, den); every draw here is decided
+    rat, lau = RAT[p], FieldDescriptor("laurent", p, 8)
+    rng = random.Random(f"laurent sweep {p}")
+    for alpha, beta in SWEEP_SLOTS:
+        R = make_algebra(p, parse_scalar(alpha, rat), parse_scalar(beta, rat), rat)
+        L = make_algebra(p, parse_scalar(alpha, lau), parse_scalar(beta, lau), lau)
+
+        def into_laurent(value):
+            if hasattr(value, "entries"):
+                return copy_to(L, value)
+            return lau.from_terms(value.num, value.den)
+
+        for _ in range(2):
+            for name, call in _sweep_calls(p, rng, R).items():
+                want = call(R, lambda value: value)
+                got = call(L, into_laurent)
+                assert fractions_of(got) == fractions_of(want), (alpha, beta, name)

@@ -107,13 +107,14 @@ def _outcome(f, *args):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_gauss_value_matches_fraction_reference(p):
-    """The integer-key minimum against the Fraction loop, on exact
-    polynomial and Laurent coefficients, on series from inverses at
-    windows 4 and 8, and on coefficients the window does not certify."""
+    """The integer-key minimum against the Fraction loop, on polynomial
+    and Laurent polynomial coefficients, on series from inverses at
+    precisions 4 and 8, and on coefficients that were once uncertified."""
     for precision in (4, 8):
         field = laurent_field(p, precision)
         one, a, b = field.one(), field.gen("a"), field.gen("b")
-        # 0 + O(a^w) stores no term; adding b leaves its leading b^1 uncertified
+        # once 0 + O(a^w), with no stored term, and no_term + b with its
+        # leading b^1 uncertified; exactly 0 and b now
         no_term = (one + a).inverse() - (one + a).inverse()
         samplers = (
             lambda r: random_poly_scalar(r, field, max_degree=2),
