@@ -10,8 +10,8 @@ whose values it builds are rational functions of a and b:
 * presentation transformations that exhibit a common left slot for any
   right-linked pair of such algebras, with engine-verified witnesses;
 * a rank-2 Gauss valuation on algebras over the bi-Laurent field, value
-  group reports, residues, and the two-algebra family check showing that
-  sharing a left slot does not force sharing a right slot.
+  group reports, and the two-algebra family check showing that sharing a
+  left slot does not force sharing a right slot.
 """
 
 from .algebra import AdComponents, AlgElement, SymbolAlgebra, make_algebra
@@ -24,7 +24,6 @@ from .errors import (
     NotArtinSchreier,
     NotInSubfield,
     NotInvertible,
-    NotUnitValue,
     PAlgebraError,
     PrecisionExhausted,
     RelationFails,
@@ -56,7 +55,6 @@ from .linkage import (
 from .parsing import parse_element, parse_scalar
 from .valuations import (
     CounterexampleReport,
-    ResiduePoly,
     ValuedAlgebra,
     ValueGroupReport,
     counterexample_check,
@@ -81,12 +79,10 @@ __all__ = [
     "NotArtinSchreier",
     "NotInSubfield",
     "NotInvertible",
-    "NotUnitValue",
     "PAlgebraError",
     "PrecisionExhausted",
     "RatFunc",
     "RelationFails",
-    "ResiduePoly",
     "SymbolAlgebra",
     "SymbolPresentation",
     "UnsupportedSlot",

@@ -243,9 +243,11 @@ class SymbolAlgebra:
         return self.sub(self.mul(s, t), self.mul(t, s))
 
     def certified_equal(self, s, t):
-        """Exact equality: fields.certified_equal for two elements of this
-        algebra."""
-        return self.sub(s, t).is_zero()
+        """Exact equality of two elements of this algebra: every coefficient
+        is in canonical form, so equal elements have equal entries maps."""
+        self._check(s)
+        self._check(t)
+        return s.entries == t.entries
 
     # the reduced characteristic polynomial, in Horner form ------------------
     def _horner_sums(self, t):
@@ -275,7 +277,7 @@ class SymbolAlgebra:
         the constant term of t * tail and the inverse is tail / c.  An
         inverse costs the p - 1 products of the recurrence, t * tail and
         one scalar inverse.  It is checked on both sides: t * tail must
-        have every coefficient but c zero and equal tail * t.  With c = 0
+        have no coefficient but c and equal tail * t.  With c = 0
         the witness is the last nonzero h_m, verified by multiplication.  A
         scalar t takes the scalar inverse: the recurrence would form every
         power of it up to t^p, unbounded work at a large p.
@@ -288,12 +290,12 @@ class SymbolAlgebra:
         sums, right = self._horner_sums(t)
         tail = sums[-1]
         prod = self.mul(t, tail)
-        c = prod.coeff(0, 0)
-        if not (self.certified_equal(prod, self.scalar(c)) and self.certified_equal(right, prod)):
+        c = prod.is_scalar()
+        if c is None or right.entries != prod.entries:
             raise WitnessVerificationFailed("t * tail is not a scalar on both sides")
         if c.is_zero():
             witness = next(h for h in reversed(sums) if not h.is_zero())
-            if not self.certified_equal(self.mul(witness, t), self.zero()):
+            if not self.mul(witness, t).is_zero():
                 raise WitnessVerificationFailed("bad zero-divisor witness")
             raise NotInvertible("element is a zero divisor", witness=witness)
         return self._scaled(self._one / c, tail)

@@ -6,13 +6,13 @@ for elements); --let name=expr binds an extra name, an ASCII identifier.
 Output is a text report with one verification line per checked relation;
 --json emits the same data as a machine-readable object with fixed key order.
 
-Every check line carries a verdict reached by exact comparison: two
-values agree when their difference is zero (fields.certified_equal).
-Over the Laurent field too every value is an exact rational function of
-a and b; --precision only sets how far a value whose denominator is not a
-monomial is expanded in print, as terms and a trailing + O(...), while a
-Laurent polynomial prints exactly.  The counterexample counts compare
-integers.
+Every check line carries a verdict reached by exact comparison: every
+value is kept in one canonical form, so two values agree when their
+representations are equal.  Over the Laurent field too every value is an
+exact rational function of a and b; --precision only sets how far a value
+whose denominator is not a monomial is expanded in print, as terms and a
+trailing + O(...), while a Laurent polynomial prints exactly.  The
+counterexample counts compare integers.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
 input error: malformed syntax, a -p that is not prime or exceeds
@@ -40,7 +40,7 @@ from .errors import (
     NotInvertible,
     PAlgebraError,
 )
-from .fields import FieldDescriptor, certified_equal
+from .fields import FieldDescriptor
 from .linkage import (
     chain_identity,
     right_to_left,
@@ -87,8 +87,9 @@ class Report:
         self.checks.append(CheckLine(relation, str(expected), str(computed), ok, brief))
 
     def compare(self, relation, expected, computed, brief=False):
-        """One check line whose verdict is that its two sides are equal."""
-        self.check(relation, certified_equal(expected, computed), expected, computed, brief)
+        """One check line whose verdict is that its two sides, two scalars
+        or two elements of one algebra, are equal."""
+        self.check(relation, expected == computed, expected, computed, brief)
 
     @property
     def ok(self):

@@ -66,10 +66,6 @@ class WitnessVerificationFailed(PAlgebraError):
     """An identity that must hold unconditionally failed; indicates a bug."""
 
 
-class NotUnitValue(PAlgebraError):
-    """Residue requested for an element whose value is not (0, 0)."""
-
-
 class UnsupportedSlot(PAlgebraError):
     """The valued-algebra machinery does not cover this slot."""
 

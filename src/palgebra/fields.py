@@ -309,21 +309,20 @@ class LaurentScalar:
     def _box(self):
         """(ha, hb): the printer shows the terms with ea < ha and eb < hb.
 
-        It is the box of 1/den expanded to this precision, shifted by num's
-        least exponents: with den = c a^k0 b^j0 (1 + w), the expansion of
-        1/(1 + w) stops at a^prec when den has another term at b^j0, else
-        never, and at b^prec when den has a term above b^j0, else never;
-        the monomial moves both ends by (-k0, -j0).  That is the box the
-        series inverse of windowed Laurent scalars certified, so a value
-        made by one scalar inverse prints as it did with them.
+        It is the box of 1/(1 + w) expanded to this precision, shifted by
+        the value's leading exponents, so the leading term always shows:
+        with den = c a^k0 b^j0 (1 + w), the expansion of 1/(1 + w) stops at
+        a^prec when den has another term at b^j0, else never, and at
+        b^prec when den has a term above b^j0, else never.  That is the box
+        the series inverse of windowed Laurent scalars certified, so a value
+        with a monomial numerator prints as it did with them.
         """
         k0, j0 = _lead(self.den)
         prec = self.prec
         ta = prec if any(eb == j0 and ea != k0 for ea, eb in self.den) else INF
         tb = prec if any(eb > j0 for _, eb in self.den) else INF
-        ha = ta - k0 + min(ea for ea, _ in self.num)
-        hb = tb - j0 + min(eb for _, eb in self.num)
-        return ha, hb
+        va, vb = _leading(self)
+        return ta + va, tb + vb
 
     def __str__(self):
         terms = self.terms
@@ -466,13 +465,6 @@ def _leading(c):
 def frobenius(c):
     """The p-th power map on scalars."""
     return c.frobenius()
-
-
-def certified_equal(s, t):
-    """The one relation check: two scalars, or two elements of one algebra,
-    are equal when their difference is zero.  Every scalar is exact, so this
-    is exact equality over both fields."""
-    return (s - t).is_zero()
 
 
 # ---------------------------------------------------------------------------

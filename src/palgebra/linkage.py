@@ -4,7 +4,8 @@ A presentation [left, right) of an algebra is certified by a generator
 pair (z, w) with w z w^(-1) = z + 1, z^p - z = left and w^p = right.
 Every transformation here returns both the new presentation and such a
 witness, verified by the multiplication engine rather than trusted from
-the closed forms that motivate it.
+the closed forms that motivate it.  Every relation is decided on canonical
+forms: scalars compare with ==, elements by their entries maps.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import (
     RelationFails,
     WitnessVerificationFailed,
 )
-from .fields import FieldDescriptor, certified_equal, frobenius
+from .fields import FieldDescriptor, frobenius
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ def verify_presentation(A: SymbolAlgebra, z: AlgElement, w: AlgElement) -> Linka
     if right.is_zero():
         A.inverse(w)  # w^p = 0, so this raises NotInvertible with a verified witness
     wz, z1w = A.mul(w, z), A.mul(z + A.one(), w)
-    if not certified_equal(wz, z1w):
+    if wz.entries != z1w.entries:
         raise RelationFails("w z = (z + 1) w", computed=wz, expected=z1w)
     left = A.is_artin_schreier(z)
     if left is None:
@@ -123,8 +124,7 @@ def _verify_slots(A, z, w, left, right, message):
     """verify_presentation(A, z, w), whose certified slots must be the
     closed forms left and right; WitnessVerificationFailed(message) if not."""
     witness = verify_presentation(A, z, w)
-    if not (certified_equal(witness.claimed_left, left)
-            and certified_equal(witness.claimed_right, right)):
+    if witness.claimed_left != left or witness.claimed_right != right:
         raise WitnessVerificationFailed(message)
     return witness
 
@@ -167,7 +167,7 @@ def verify_lemma(A: SymbolAlgebra, x_el: AlgElement, y_el: AlgElement) -> LemmaR
     comm = A.commutator(y_el, x_el)
     k_found = None
     for k in range(1, A.p):
-        if certified_equal(comm, A.scale(k, y_el)):
+        if comm.entries == A.scale(k, y_el).entries:
             k_found = k
             break
     if k_found is None:
@@ -182,8 +182,8 @@ def verify_lemma(A: SymbolAlgebra, x_el: AlgElement, y_el: AlgElement) -> LemmaR
         m=m,
         lhs=lhs,
         rhs=rhs,
-        sides_agree=certified_equal(lhs, rhs),
-        shift_conjugation_ok=certified_equal(shifted, s + A.one()),
+        sides_agree=lhs.entries == rhs.entries,
+        shift_conjugation_ok=shifted.entries == (s + A.one()).entries,
     )
 
 
@@ -192,7 +192,7 @@ def solve_lambda(alpha, gamma, beta):
     if beta.is_zero():
         raise InvalidSlot("the shared right slot must be nonzero")
     lam = alpha - (gamma - alpha) / beta
-    if not certified_equal(alpha + beta * (alpha - lam), gamma):
+    if alpha + beta * (alpha - lam) != gamma:
         raise WitnessVerificationFailed("lambda failed its defining equation")
     return lam
 
@@ -226,7 +226,7 @@ def right_to_left(alpha, gamma, beta, p, field: FieldDescriptor) -> LeftLinkResu
     witness_Aprime = _verify_slots(Aprime, zp, Aprime.y(), common_left, beta,
                                    "witness slots in A' disagree with the closed form")
 
-    if not certified_equal(alpha + norm_slot, common_left):
+    if alpha + norm_slot != common_left:
         raise WitnessVerificationFailed("slot bookkeeping identity failed")
 
     return LeftLinkResult(

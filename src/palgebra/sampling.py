@@ -58,5 +58,5 @@ def draw_right_linked(rng, field, monomial_beta=True):
         else:
             beta = random_poly_scalar(rng, field, max_degree=1, nonzero=True)
         lam = solve_lambda(alpha, gamma, beta)
-        if not (alpha + frobenius(lam) - lam).is_zero():
+        if alpha + frobenius(lam) != lam:
             return alpha, gamma, beta

@@ -8,9 +8,6 @@ plus j*v(y) over the nonzero grid entries (i, j), taken on integer pairs
 scaled by p, with one Value built per call.  The p cosets of j*v(y)
 modulo Z^2 are pairwise distinct, which keeps the minimum honest; the
 multiplicativity property tests are the operational justification.
-
-The residue ring of such an algebra is F_p[xbar] with
-xbar^p - xbar = (residue of the left slot).
 """
 
 from __future__ import annotations
@@ -21,48 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgElement, SymbolAlgebra, make_algebra
-from .errors import (
-    NotUnitValue,
-    UnsupportedSlot,
-    ZeroValue,
-)
-from .fields import FieldDescriptor, Value, _leading, certified_equal
+from .errors import UnsupportedSlot, ZeroValue
+from .fields import FieldDescriptor, Value, _leading
 from .sampling import random_fx_element
-
-
-@dataclass(frozen=True)
-class ResiduePoly:
-    """Element of the residue ring F_p[xbar : xbar^p - xbar = r]."""
-
-    p: int
-    slot_residue: int
-    coeffs: tuple
-
-    @classmethod
-    def make(cls, p, slot_residue, coeffs):
-        c = list(coeffs) + [0] * (p - len(coeffs))
-        return cls(p, slot_residue % p, tuple(v % p for v in c[:p]))
-
-    def __mul__(self, other):
-        self._check(other)
-        p = self.p
-        prod = [0] * (2 * p - 1)
-        for i, u in enumerate(self.coeffs):
-            if u:
-                for j, v in enumerate(other.coeffs):
-                    if v:
-                        prod[i + j] = (prod[i + j] + u * v) % p
-        # reduce by xbar^p = xbar + r
-        while len(prod) > p:
-            top = prod.pop()
-            e = len(prod) - p
-            prod[e + 1] = (prod[e + 1] + top) % p
-            prod[e] = (prod[e] + top * self.slot_residue) % p
-        return ResiduePoly.make(p, self.slot_residue, prod)
-
-    def _check(self, other):
-        if self.p != other.p or self.slot_residue != other.slot_residue:
-            raise ValueError("mixed residue rings")
 
 
 @dataclass(frozen=True)
@@ -88,11 +46,7 @@ class ValuedAlgebra:
         self.algebra = algebra
         self.v_y = Value.of(va, vb).divided_by(algebra.p)
         # a value (0, 0) is a leading term a^0 b^0: a nonzero residue
-        try:
-            alpha_unit = _leading(algebra.alpha) == (0, 0)
-        except ZeroValue:
-            alpha_unit = False
-        if not alpha_unit:
+        if algebra.alpha.is_zero() or _leading(algebra.alpha) != (0, 0):
             raise UnsupportedSlot(
                 "the left slot must be a unit with nonzero residue (unramified x)"
             )
@@ -112,20 +66,6 @@ class ValuedAlgebra:
         if best is None:
             raise ZeroValue("the zero element has no value")
         return Value(Fraction(best[1], p), Fraction(best[0], p))
-
-    def residue(self, t: AlgElement) -> ResiduePoly:
-        """Residue of a unit-value element as a polynomial in xbar."""
-        if self.gauss_value(t) != Value.of(0, 0):
-            raise NotUnitValue("residue needs an element of value (0, 0)")
-        p = self.algebra.p
-        slot_res = self.algebra.alpha.coefficient(0, 0)
-        coeffs = [0] * p
-        for (i, j), c in t.support():
-            if j != 0:
-                continue  # carries a fractional value component, drops to 0
-            if _leading(c) == (0, 0):
-                coeffs[i] = c.coefficient(0, 0)
-        return ResiduePoly.make(p, slot_res, coeffs)
 
     def value_group(self) -> ValueGroupReport:
         """Lattice generated by Z^2 and v(y), normalized."""
@@ -250,7 +190,7 @@ def counterexample_check(p, precision, samples, seed) -> CounterexampleReport:
             # when its p-th power is a scalar
             t_p = A.power(A.mul(u, A.y()), p)
             central = t_p.is_scalar()
-            norm_ok = central is not None and certified_equal(central, norm * A.beta)
+            norm_ok = central is not None and central == norm * A.beta
             v = va.gauss_value(t_p)
             if coord == "a":
                 residue = int(v.va) % p

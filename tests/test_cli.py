@@ -457,12 +457,22 @@ CONTRACTS = {
     ],
     # at window 1 the check products once certified no term at all, and the
     # inverse was undecided (exit 1); now it is exact and checked exactly,
-    # and only its print is cut to window 1
+    # and only its print is cut to window 1.  The box starts at each value's
+    # leading term, so no nonzero coefficient prints as 0 + O(...); a box
+    # measured from the numerator's least exponents printed seven of these
+    # nine values, and the value of the next row, as 0 + O(...)
     "laurent_inverse_at_precision_1_is_checked_exactly": [
         Contract('eval -p 3 --alpha 1 --beta a --field laurent --precision 1 '
                  '--expr "1/(a + a*y + b*x*y + a*x*y^2 + a*x^2 + b*x^2*y^2)"', 0,
-                 re.compile(r"^normal_form = \(0 \+ O\(a\^-1, b\^1\)\) \+ .*\(2/a \+ "
-                            r"O\(a\^0, b\^1\)\)\*x \+ ", re.M), ""),
+                 re.compile("^" + re.escape(
+                     "normal_form = (2/a + O(a^0, b^1)) + (2/a + O(a^0, b^1))*y"
+                     " + (b/a^2 + O(a^-1, b^2))*y^2 + (2/a + O(a^0, b^1))*x"
+                     " + (1/a + O(a^0, b^1))*x*y + (b/a^2 + O(a^-1, b^2))*x*y^2"
+                     " + (2/a + O(a^0, b^1))*x^2 + (1/a + O(a^0, b^1))*x^2*y"
+                     " + (2/a + O(a^0, b^1))*x^2*y^2") + "$", re.M), ""),
+        Contract('eval -p 2 --alpha a --beta b --field laurent --precision 1 '
+                 '--expr "(a^2 + b^3)/(a^2*b^3 + a*b + b)"', 0,
+                 re.compile(r"^normal_form = \(a\^2/b \+ O\(a\^3, b\^0\)\)$", re.M), ""),
     ],
     # a printed series has about precision^2 / 2 terms: 1,000 took 0.8 s and
     # printed 1.6 MB, 100,000 ran on past 60 s
