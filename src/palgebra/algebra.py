@@ -323,7 +323,7 @@ class SymbolAlgebra:
     # the commutative subring F[x] ----------------------------------------------
     def _require_fx(self, u):
         self._check(u)
-        for (i, j), _ in u.support():
+        for _, j in u.entries:
             if j != 0:
                 raise NotInSubfield("element involves y")
 
@@ -355,15 +355,15 @@ class SymbolAlgebra:
             raise NotArtinSchreier("the reference element must be Artin-Schreier")
         p = self.p
         iterates = [t]
-        cur = t
         for _ in range(p - 1):
-            cur = self.sub(self.mul(cur, x_el), self.mul(x_el, cur))
-            iterates.append(cur)
+            iterates.append(self.commutator(iterates[-1], x_el))
         parts = []
         for i in range(p):
             part = self.zero()
             for m in range(p):
-                c = ((m == 0) - _COMB(p - 1, m) * pow(-i, p - 1 - m, p)) % p
+                # ad^m has C(p-1, m) (-i)^(p-1-m) = i^(p-1-m) in (ad - i)^(p-1),
+                # as C(p-1, m) = (-1)^m mod p for every prime, p = 2 included
+                c = ((m == 0) - pow(i, p - 1 - m, p)) % p
                 if c:
                     part = self.add(part, self._scaled(c, iterates[m]))
             parts.append(part)

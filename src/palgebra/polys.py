@@ -7,7 +7,7 @@ eb -> its coefficient in F_p[a], and each coefficient is a dense list,
 lowest degree first, with no trailing zero and [] for zero.  Only
 ``_to_rec`` and ``_from_rec`` convert between the two.
 
-``p_gcd`` settles three cases before any pseudo-remainder sequence.
+``p_gcd`` settles three cases before the primitive remainder sequence.
 A single-term operand has only a and b as prime factors, so its gcd
 with g is a^min(i, min_a g) * b^min(j, min_b g).  Otherwise the common
 monomial factor a^i b^j (the least exponents of each operand) splits
@@ -21,7 +21,7 @@ gcd is then that of the contents.  For a coprime pair only the zeros of
 lc_b(F) and of the nonzero resultant Res_b(F, G) fail, at most
 deg_a lc_b(F) + deg_a F * deg_b G + deg_a G * deg_b F points, so the
 scan stops one point past that bound (or at the end of F_p), whatever
-the size of p.  When no point proves it, the subresultant sequence runs.
+the size of p.  When no point proves it, the sequence runs (Brown 1971).
 
 ``u_mul`` and the packed element products of ``algebra`` use Kronecker
 substitution: a polynomial becomes one int with a slot of fixed width per
@@ -369,47 +369,29 @@ def _rec_sub(f, g, p):
     return out
 
 
-def _u_pow(f, n, p):
-    return power(f, n, [1], lambda g, h: u_mul(g, h, p))
-
-
 def _prem_b(F, G, p):
-    """Standard pseudo-remainder lc(G)^(delta+1) * F mod G, recursive in b."""
+    """A pseudo-remainder lc(G)^k * F mod G, recursive in b."""
     dG = max(G)
     lcg = G[dG]
-    delta = max(F) - dG
     R = F
-    steps = 0
     while R and max(R) >= dG:
         dR = max(R)
         lcr = R[dR]
         shifted = {eb + dR - dG: u_mul(ua, lcr, p) for eb, ua in G.items()}
         R = _rec_sub(_rec_scale(R, lcg, p), shifted, p)
-        steps += 1
-    if R and steps < delta + 1:
-        R = _rec_scale(R, _u_pow(lcg, delta + 1 - steps, p), p)
     return R
 
 
-def _subresultant_gcd(F, G, p):
-    """Gcd of primitive F, G in F_p[a][b] (recursive dicts, deg_b F >= deg_b G
-    >= 1) up to content, via the subresultant pseudo-remainder sequence."""
-    g = [1]
-    h = [1]
+def _primitive_prs(F, G, p):
+    """Primitive gcd of primitive F, G in F_p[a][b] (deg_b F >= deg_b G >= 1):
+    each pseudo-remainder is handed on divided by its content in F_p[a]."""
     while True:
-        delta = max(F) - max(G)
         R = _prem_b(F, G, p)
         if not R:
             return G
         if max(R) == 0:
             return {0: [1]}
-        divisor = u_mul(g, _u_pow(h, delta, p), p)
-        F, G = G, {eb: u_div_exact(ua, divisor, p) for eb, ua in R.items()}
-        g = F[max(F)]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = u_div_exact(_u_pow(g, delta, p), _u_pow(h, delta - 1, p), p)
+        F, G = G, _rec_quo_content(R, _rec_content(R, p), p)
 
 
 def _u_at(f, a0, p):
@@ -452,8 +434,7 @@ def p_gcd(f, g, p):
     returns the contents' gcd when one point a0 proves the primitive
     parts coprime (sound by the degree bound in the module docstring; the
     points tried are bounded by the operands' degrees, not by p) and runs
-    the subresultant pseudo-remainder sequence (fraction-free, linear
-    coefficient growth) on them only when no point does."""
+    the primitive remainder sequence only when no point does."""
     if not f:
         return p_monic(g, p)
     if not g:
@@ -481,25 +462,17 @@ def _shift(f, da, db):
 def _gcd_of_rest(f, g, p):
     """A gcd, not yet monic, of f and g, neither of them divisible by a or b."""
     rf, rg = _to_rec(f), _to_rec(g)
-    df, dg = max(rf), max(rg)
-    if df == 0 and dg == 0:
-        return _from_rec({0: u_gcd(rf[0], rg[0], p)})
-    if df == 0:
-        return _from_rec({0: u_gcd(rf[0], _rec_content(rg, p), p)})
-    if dg == 0:
-        return _from_rec({0: u_gcd(rg[0], _rec_content(rf, p), p)})
     cf, cg = _rec_content(rf, p), _rec_content(rg, p)
     c = u_gcd(cf, cg, p)
+    if max(rf) == 0 or max(rg) == 0:
+        return _from_rec({0: c})
     F = _rec_quo_content(rf, cf, p)
     G = _rec_quo_content(rg, cg, p)
     if max(F) < max(G):
         F, G = G, F
     if _coprime_at_a_point(F, G, p):
         return _from_rec({0: c})
-    H = _subresultant_gcd(F, G, p)
-    cont = _rec_content(H, p)
-    H = _rec_quo_content(H, cont, p)
-    return _from_rec(_rec_scale(H, c, p))
+    return _from_rec(_rec_scale(_primitive_prs(F, G, p), c, p))
 
 
 def p_div_exact(f, g, p):

@@ -58,7 +58,7 @@ class ValuedAlgebra:
         p = self.algebra.p
         va, vb = self._beta_exp
         best = None
-        for (_, j), c in t.support():
+        for (_, j), c in t.entries.items():
             ea, eb = _leading(c)
             key = (p * eb + j * vb, p * ea + j * va)
             if best is None or key < best:

@@ -672,16 +672,16 @@ def test_inverse_of_u_y_power_divides_no_basis_row(monkeypatch):
 def test_dense_inverse_runs_no_remainder_sequence(monkeypatch):
     # tail / c takes one gcd for each of the 43 coefficients of the inverse;
     # single terms, monomial factors and a coprimality certificate at one
-    # point of F_7 settle all of them.  Every nontrivial gcd ran the
-    # subresultant sequence before: 37 runs for this inverse.
+    # point of F_7 settle all of them.  Without them every nontrivial gcd
+    # would run the remainder sequence: 37 runs for this inverse.
     p = 7
     A = rational_algebra(p)
     x, y = A.x(), A.y()
     t = A.mul(x, y) + A.scale(A.field.gen("b"), x) + A.one()
     runs = []
-    subresultant = polys._subresultant_gcd
-    monkeypatch.setattr(polys, "_subresultant_gcd",
-                        lambda F, G, q: runs.append(1) or subresultant(F, G, q))
+    sequence = polys._primitive_prs
+    monkeypatch.setattr(polys, "_primitive_prs",
+                        lambda F, G, q: runs.append(1) or sequence(F, G, q))
     s = A.inverse(t)
     assert not runs
     monkeypatch.undo()

@@ -240,17 +240,17 @@ def test_gcd_and_div_exact_match_sympy_at_high_a_degree(p):
         assert polys.p_div_exact(fh, h, p) == f
 
 
-# the cases p_gcd settles before the subresultant sequence, each checked
+# the cases p_gcd settles before the primitive remainder sequence, each checked
 # against sympy, and the certificate's refusals
 
 GCD_PRIMES = [2, 3, 5, 7]
 
 
-def count_subresultant_runs(monkeypatch):
+def count_sequence_runs(monkeypatch):
     runs = []
-    subresultant = polys._subresultant_gcd
-    monkeypatch.setattr(polys, "_subresultant_gcd",
-                        lambda F, G, p: runs.append(1) or subresultant(F, G, p))
+    sequence = polys._primitive_prs
+    monkeypatch.setattr(polys, "_primitive_prs",
+                        lambda F, G, p: runs.append(1) or sequence(F, G, p))
     return runs
 
 
@@ -267,7 +267,7 @@ def random_in_b(rng, p, deg_a, deg_b):
 def test_gcd_with_a_single_term_operand_matches_sympy(p, monkeypatch):
     # a monomial's only prime factors are a and b: no remainder sequence runs
     rng = random.Random(7000 + p)
-    runs = count_subresultant_runs(monkeypatch)
+    runs = count_sequence_runs(monkeypatch)
     for _ in range(20):
         term = {(rng.randint(0, 4), rng.randint(0, 4)): rng.randrange(1, p)}
         g = polys.p_mul(random_in_b(rng, p, 3, rng.randint(1, 3)),
@@ -282,7 +282,7 @@ def test_gcd_of_coprime_primitive_parts_is_the_contents_gcd(p, monkeypatch):
     # contents in F_p[a] share u; the primitive parts F, G are coprime, so
     # the gcd is u, and one point a0 proves it with no remainder sequence
     rng = random.Random(7200 + p)
-    runs = count_subresultant_runs(monkeypatch)
+    runs = count_sequence_runs(monkeypatch)
     checked = 0
     while checked < 15:
         u = {(1, 0): 1, (0, 0): rng.randrange(1, p)}
@@ -319,12 +319,12 @@ def test_gcd_with_a_planted_common_factor_is_never_certified_coprime(p, monkeypa
 @pytest.mark.parametrize("p", GCD_PRIMES)
 def test_gcd_with_lc_vanishing_on_all_of_f_p_runs_the_remainder_sequence(p, monkeypatch):
     # lc_b of both operands is a multiple of a^p - a, which vanishes at every
-    # a0 in F_p: no point can certify, so the subresultant sequence decides.
+    # a0 in F_p: no point can certify, so the remainder sequence decides.
     # Each operand and h have the coefficient 1 at some power of b, so they
     # are primitive and lc_b keeps the factor a^p - a once contents split off
     rng = random.Random(7400 + p)
     vanishing = {(p, 0): 1, (1, 0): p - 1}
-    runs = count_subresultant_runs(monkeypatch)
+    runs = count_sequence_runs(monkeypatch)
     checked = 0
     while checked < 10:
         f, g = ({**{(ea, 0): rng.randrange(1, p) for ea in range(rng.randint(1, 3))}, (0, 1): 1,
@@ -338,6 +338,38 @@ def test_gcd_with_lc_vanishing_on_all_of_f_p_runs_the_remainder_sequence(p, monk
         assert polys.p_gcd(f, g, p) == sympy_gcd(f, g, p)
         checked += 1
         assert len(runs) == checked
+
+
+def primitive_in_b(rng, p, deg_b):
+    """random_in_b with its content in F_p[a] divided out, recursive in b."""
+    rec = polys._to_rec(random_in_b(rng, p, 2, deg_b))
+    return polys._rec_quo_content(rec, polys._rec_content(rec, p), p)
+
+
+@pytest.mark.parametrize("p", GCD_PRIMES)
+def test_primitive_remainder_sequence_hands_on_primitive_remainders(p, monkeypatch):
+    # primitive operands of b-degree 3-4 share a planted factor h of b-degree
+    # 1 or 2 and have cofactors of b-degree at least 2, so a sequence whose
+    # degrees drop by one hands on two remainders before it reaches h; each
+    # G it divides by must have content 1
+    rng = random.Random(7600 + p)
+    handed = []
+    prem = polys._prem_b
+    monkeypatch.setattr(polys, "_prem_b", lambda F, G, q: handed.append(G) or prem(F, G, q))
+    long_runs = 0
+    for _ in range(12):
+        d = rng.randint(1, 2)
+        h, f1, g1 = (primitive_in_b(rng, p, k) for k in (d, 4 - d, rng.randint(2, 4 - d)))
+        F, G = (polys._to_rec(polys.p_mul(polys._from_rec(k), polys._from_rec(h), p))
+                for k in (f1, g1))
+        handed.clear()
+        H = polys._primitive_prs(F, G, p)
+        assert polys._rec_content(H, p) == [1]
+        assert polys.p_monic(polys._from_rec(H), p) == sympy_gcd(
+            polys._from_rec(F), polys._from_rec(G), p)
+        assert all(polys._rec_content(k, p) == [1] for k in handed)
+        long_runs += len(handed) >= 3
+    assert long_runs >= 6
 
 
 def test_certificate_scan_is_bounded_by_degrees_not_p(monkeypatch):
