@@ -9,8 +9,8 @@ whose values it builds are rational functions of a and b:
   and the eigendecomposition of elements under v -> v*x - x*v;
 * presentation transformations that exhibit a common left slot for any
   right-linked pair of such algebras, with engine-verified witnesses;
-* a rank-2 Gauss valuation on algebras over the bi-Laurent field, value
-  group reports, and the two-algebra family check showing that sharing a
+* a rank-2 Gauss valuation on algebras over the bi-Laurent field, their
+  value groups, and the two-algebra family check showing that sharing a
   left slot does not force sharing a right slot.
 """
 
@@ -56,7 +56,6 @@ from .parsing import parse_element, parse_scalar
 from .valuations import (
     CounterexampleReport,
     ValuedAlgebra,
-    ValueGroupReport,
     counterexample_check,
 )
 
@@ -87,7 +86,6 @@ __all__ = [
     "SymbolPresentation",
     "UnsupportedSlot",
     "Value",
-    "ValueGroupReport",
     "ValuedAlgebra",
     "WitnessVerificationFailed",
     "ZeroElement",

@@ -292,14 +292,10 @@ def _cmd_counterexample(args):
     )
     report.results["value_group [1,a)"] = rep.value_group_a
     report.results["value_group [1,b)"] = rep.value_group_b
-    norm_ok = sum(1 for r in rep.records if r.norm_identity_ok)
-    res_a = sum(1 for r in rep.records if r.algebra == "[1,a)" and r.residue_ok)
-    res_b = sum(1 for r in rep.records if r.algebra == "[1,b)" and r.residue_ok)
-    total, half = len(rep.records), len(rep.records) // 2
     for relation, want, got in (
-        ("p-central norm identity (u y)^p = N(u) slot", total, norm_ok),
-        ("a-coordinate of v((u y)^p) = 1 mod p in [1,a)", half, res_a),
-        ("b-coordinate of v((u y)^p) = 1 mod p in [1,b)", half, res_b),
+        ("p-central norm identity (u y)^p = N(u) slot", 2 * args.samples, rep.norm_identities),
+        ("a-coordinate of v((u y)^p) = 1 mod p in [1,a)", args.samples, rep.residues_a),
+        ("b-coordinate of v((u y)^p) = 1 mod p in [1,b)", args.samples, rep.residues_b),
     ):
         report.check(relation, got == want, f"{want} pass", f"{got} pass")
     report.check("subfield value groups distinct across the two algebras",

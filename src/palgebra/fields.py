@@ -434,9 +434,6 @@ class Value:
 
     __rmul__ = __mul__
 
-    def divided_by(self, n):
-        return Value(self.va / n, self.vb / n)
-
     def __lt__(self, other):
         return (self.vb, self.va) < (other.vb, other.va)
 

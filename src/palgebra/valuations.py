@@ -8,6 +8,11 @@ plus j*v(y) over the nonzero grid entries (i, j), taken on integer pairs
 scaled by p, with one Value built per call.  The p cosets of j*v(y)
 modulo Z^2 are pairwise distinct, which keeps the minimum honest; the
 multiplicativity property tests are the operational justification.
+
+The value group Z^2 + Z*v(y) is kept as p times itself, the integer
+lattice p*Z^2 + Z*v(beta) with v(beta) the exact leading exponents of the
+right slot, in the row Hermite basis that _value_lattice gives; the family
+check compares the lattices of its sampled subfields the same way.
 """
 
 from __future__ import annotations
@@ -23,19 +28,10 @@ from .fields import FieldDescriptor, Value, _leading
 from .sampling import random_fx_element
 
 
-@dataclass(frozen=True)
-class ValueGroupReport:
-    """Normalized lattice of attained values."""
-
-    generators: tuple
-    basis: tuple
-    description: str
-
-
 class ValuedAlgebra:
     """A symbol algebra over F_p((a))((b)) carrying its Gauss valuation."""
 
-    __slots__ = ("algebra", "v_y", "_beta_exp")
+    __slots__ = ("algebra", "_beta_exp")
 
     def __init__(self, algebra: SymbolAlgebra):
         if algebra.field.kind != "laurent":
@@ -44,7 +40,6 @@ class ValuedAlgebra:
         if va % algebra.p == 0 and vb % algebra.p == 0:
             raise UnsupportedSlot("v(beta) is divisible by p; cosets of j*v(y) collapse")
         self.algebra = algebra
-        self.v_y = Value.of(va, vb).divided_by(algebra.p)
         # a value (0, 0) is a leading term a^0 b^0: a nonzero residue
         if algebra.alpha.is_zero() or _leading(algebra.alpha) != (0, 0):
             raise UnsupportedSlot(
@@ -67,21 +62,10 @@ class ValuedAlgebra:
             raise ZeroValue("the zero element has no value")
         return Value(Fraction(best[1], p), Fraction(best[0], p))
 
-    def value_group(self) -> ValueGroupReport:
-        """Lattice generated by Z^2 and v(y), normalized."""
-        beta = self.algebra.beta
-        if len(beta.num) != 1 or len(beta.den) != 1:
-            raise UnsupportedSlot("value group reporting needs a monomial right slot")
+    def value_group(self) -> str:
+        """The value group Z^2 + Z*v(y), v(y) = v(beta)/p, as printed."""
         p = self.algebra.p
-        basis_int = _value_lattice(p, *self._beta_exp)
-        basis = tuple(
-            Value(Fraction(u, p), Fraction(v, p)) for u, v in basis_int
-        )
-        return ValueGroupReport(
-            generators=(Value.of(1, 0), Value.of(0, 1), self.v_y),
-            basis=basis,
-            description=_describe_lattice(basis),
-        )
+        return _describe_lattice(p, _value_lattice(p, *self._beta_exp))
 
 
 def _value_lattice(p, u, w):
@@ -93,15 +77,16 @@ def _value_lattice(p, u, w):
     return [(p, 0), (0, math.gcd(p, w))]
 
 
-def _describe_lattice(basis):
-    (a1, b1), (a2, b2) = (basis[0].va, basis[0].vb), (basis[1].va, basis[1].vb)
+def _describe_lattice(p, basis):
+    """The lattice with row Hermite basis ``basis`` of integer pairs,
+    scaled by 1/p: a product of axes when the basis is diagonal."""
+    def q(n):  # n/p in lowest terms, p prime
+        return str(n // p) if n % p == 0 else f"{n}/{p}"
+
+    (a1, b1), (a2, b2) = basis
     if b1 == 0 and a2 == 0:
-        def axis(f):
-            if f == 1:
-                return "Z"
-            return f"(1/{f.denominator})Z" if f.numerator == 1 else f"{f}Z"
-        return f"{axis(a1)} x {axis(b2)}"
-    return f"lattice[({a1}, {b1}), ({a2}, {b2})]"
+        return " x ".join("Z" if d == p else f"({q(d)})Z" for d in (a1, b2))
+    return f"lattice[({q(a1)}, {q(b1)}), ({q(a2)}, {q(b2)})]"
 
 
 # ---------------------------------------------------------------------------
@@ -112,35 +97,33 @@ def _describe_lattice(basis):
 class SampleRecord:
     """One sampled p-central element u*y in one of the two algebras."""
 
-    algebra: str
     value: Value
     coordinate_residue: int
     norm_identity_ok: bool
-    residue_ok: bool
 
     @property
     def ok(self):
-        return self.norm_identity_ok and self.residue_ok
+        return self.norm_identity_ok and self.coordinate_residue == 1
 
 
 @dataclass(frozen=True)
 class CounterexampleReport:
     """Family evidence that [1, a) and [1, b) share no inseparable subfield.
 
-    The sampled facts are engine-verified.  The full statement, that every
-    purely inseparable maximal subfield of either algebra is totally
-    ramified with the printed value group, rests on the ramification
-    theory of valued division algebras and is recorded as background, not
-    re-verified here.
+    The records alternate between [1, a) and [1, b), one pair per sample.
+    A fact is listed as verified only when its check passed.  The full
+    statement, that every purely inseparable maximal subfield of either
+    algebra is totally ramified with the printed value group, rests on the
+    ramification theory of valued division algebras and is recorded as
+    background, not re-verified here.
     """
 
-    p: int
-    precision: int
-    samples: int
-    seed: int
     value_group_a: str
     value_group_b: str
     records: tuple
+    norm_identities: int  # records with (u*y)^p = N(u)*beta
+    residues_a: int  # [1, a) records whose a-coordinate is 1 mod p
+    residues_b: int  # [1, b) records whose b-coordinate is 1 mod p
     lattices_always_distinct: bool
     verified_facts: tuple
     background_facts: tuple
@@ -166,23 +149,18 @@ def counterexample_check(p, precision, samples, seed) -> CounterexampleReport:
     if samples < 1:
         raise ValueError("need at least one sample")
     field = FieldDescriptor("laurent", p, precision)
-    one = field.one()
-    A_a = make_algebra(p, one, field.gen("a"), field)
-    A_b = make_algebra(p, one, field.gen("b"), field)
-    va_a = ValuedAlgebra(A_a)
-    va_b = ValuedAlgebra(A_b)
-    group_a = va_a.value_group().description
-    group_b = va_b.value_group().description
+    valued = [ValuedAlgebra(make_algebra(p, field.one(), field.gen(g), field)) for g in "ab"]
+    group_a, group_b = (va.value_group() for va in valued)
 
     rng = random.Random(seed)
-    # coefficient exponents stay below the precision
-    max_degree = min(2, precision - 1)
     records = []
+    norms, residues = 0, [0, 0]
     all_distinct = True
     for _ in range(samples):
-        for tag, A, va, coord in (("[1,a)", A_a, va_a, "a"), ("[1,b)", A_b, va_b, "b")):
+        for k, va in enumerate(valued):
+            A = va.algebra
             while True:
-                u = random_fx_element(rng, A, max_degree=max_degree)
+                u = random_fx_element(rng, A, max_degree=2)
                 norm = A.norm_Fx(u)
                 if not norm.is_zero():
                     break
@@ -192,34 +170,28 @@ def counterexample_check(p, precision, samples, seed) -> CounterexampleReport:
             central = t_p.is_scalar()
             norm_ok = central is not None and central == norm * A.beta
             v = va.gauss_value(t_p)
-            if coord == "a":
-                residue = int(v.va) % p
-            else:
-                residue = int(v.vb) % p
-            records.append(
-                SampleRecord(
-                    algebra=tag,
-                    value=v,
-                    coordinate_residue=residue,
-                    norm_identity_ok=norm_ok,
-                    residue_ok=residue == 1,
-                )
-            )
+            # coordinate k of v: a in [1, a), b in [1, b)
+            residue = int((v.va, v.vb)[k]) % p
+            records.append(SampleRecord(v, residue, norm_ok))
+            norms += norm_ok
+            residues[k] += residue == 1
         # subfield lattices: Z^2 + Z*v(t) has its index-p direction along a
         # in [1,a) and along b in [1,b); they agree only if both residues
         # vanish, which the residue checks above exclude
-        ra, rb = records[-2], records[-1]
-        lattice_a = _value_lattice(p, int(ra.value.va), int(ra.value.vb))
-        lattice_b = _value_lattice(p, int(rb.value.va), int(rb.value.vb))
-        if lattice_a == lattice_b:
-            all_distinct = False
+        lattice_a, lattice_b = (
+            _value_lattice(p, int(r.value.va), int(r.value.vb)) for r in records[-2:]
+        )
+        all_distinct = all_distinct and lattice_a != lattice_b
 
-    verified = (
-        "for each sampled u, (u*y)^p equals N(u) times the right slot (engine identity)",
-        "the a-coordinate of v((u*y)^p) is 1 mod p in [1,a), "
-        "and the b-coordinate is 1 mod p in [1,b), for every sample",
-        "the value groups of the sampled subfields F(u*y) never coincide across the two algebras",
-        f"value groups: [1,a) gives {group_a}, [1,b) gives {group_b}",
+    facts = (
+        ("for each sampled u, (u*y)^p equals N(u) times the right slot (engine identity)",
+         norms == len(records)),
+        ("the a-coordinate of v((u*y)^p) is 1 mod p in [1,a), "
+         "and the b-coordinate is 1 mod p in [1,b), for every sample",
+         residues == [samples, samples]),
+        ("the value groups of the sampled subfields F(u*y) never coincide across the two algebras",
+         all_distinct),
+        (f"value groups: [1,a) gives {group_a}, [1,b) gives {group_b}", True),
     )
     background = (
         "every purely inseparable maximal subfield of either algebra is totally ramified "
@@ -228,14 +200,13 @@ def counterexample_check(p, precision, samples, seed) -> CounterexampleReport:
         "the sampled family u*y is supporting evidence for that full statement, not a proof",
     )
     return CounterexampleReport(
-        p=p,
-        precision=precision,
-        samples=samples,
-        seed=seed,
         value_group_a=group_a,
         value_group_b=group_b,
         records=tuple(records),
+        norm_identities=norms,
+        residues_a=residues[0],
+        residues_b=residues[1],
         lattices_always_distinct=all_distinct,
-        verified_facts=verified,
+        verified_facts=tuple(fact for fact, ok in facts if ok),
         background_facts=background,
     )

@@ -4,6 +4,7 @@ F[x], the Laurent expansion oracle, the general two-column Hermite form
 and the Gauss value in Fraction arithmetic."""
 
 import dataclasses
+from fractions import Fraction
 from math import comb, gcd
 from pathlib import Path
 
@@ -252,11 +253,14 @@ def hermite_2col(rows):
 
 def gauss_value_reference(va, t):
     """ValuedAlgebra.gauss_value as it was computed on Values: each stored
-    coefficient's valuation plus j*v(y), added and compared as Fractions."""
-    va.algebra._check(t)
+    coefficient's valuation plus j*v(y), v(y) = valuation(beta)/p, added
+    and compared as Fractions."""
+    A = va.algebra
+    A._check(t)
+    v_y = valuation(A.beta) * Fraction(1, A.p)
     best = None
     for (_, j), c in t.support():
-        v = valuation(c) + va.v_y * j
+        v = valuation(c) + v_y * j
         if best is None or v < best:
             best = v
     if best is None:

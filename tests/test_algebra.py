@@ -205,7 +205,7 @@ def test_exact_power_matches_repeated_products(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_inexact_power_matches_repeated_products(p):
+def test_power_with_series_coefficients_matches_repeated_products(p):
     # coefficients or slots whose expansion is an infinite series are exact
     # fractions, so at any precision, window 1 included, a power equals the
     # fold of products and the same power over F_p(a, b) exactly
@@ -827,7 +827,7 @@ def test_laurent_inverse_matches_exact_inverse_inside_window(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_laurent_inverse_of_general_elements_is_certified_or_undecided(p):
+def test_laurent_inverse_of_general_elements_matches_the_rational_one(p):
     # general elements with monomial coefficients in [1, a), [1, b) and
     # [a, b): every draw is decided, a zero divisor or an inverse equal to
     # the one over F_p(a, b).  Any exception but NotInvertible fails the

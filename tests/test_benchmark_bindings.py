@@ -1,11 +1,13 @@
-"""The benchmark's bindings to the library, checked without running it.
+"""The benchmark's bindings to the library.
 
 The tracer wraps each target where it looks it up, in ``vars(owner)``: a
 method inherited from a base class, or a function moved to another module,
 would break only the traced benchmark run.  The workloads import public
 names of the library: a name deleted from ``src`` would break only the
-benchmark steps.  These checks load both modules without installing the
-tracer or running a workload."""
+benchmark steps, and so would a deleted field of a report that an
+operation's check reads.  These checks load both modules without
+installing the tracer; the counterexample operations, which read report
+fields and transcripts, run once each through their own checks."""
 
 import importlib.util
 import sys
@@ -33,3 +35,19 @@ def test_every_traced_target_is_defined_on_its_owner(monkeypatch):
 def test_workloads_import_against_the_library(monkeypatch):
     workloads = _load("perfbench_workloads", PERFBENCH / "workloads.py", monkeypatch)
     assert callable(workloads.rounds)
+
+
+def test_counterexample_ops_pass_their_own_checks(monkeypatch):
+    """The laurent-valuation family-check op and the cli-mixed
+    counterexample ops, text and --json, run once and judged by the
+    workload's own checks, which read the report's fields and the
+    printed transcript."""
+    workloads = _load("perfbench_workloads", PERFBENCH / "workloads.py", monkeypatch)
+    argv = ["counterexample", "-p", "2", "--precision", "6", "--samples", "2", "--seed", "1"]
+    ops = [
+        workloads._op_counterexample(3, 1),
+        workloads._op_cli(argv, workloads._verb_judge(False)),
+        workloads._op_cli(argv + ["--json"], workloads._verb_judge(True)),
+    ]
+    for op in ops:
+        assert op.check(op.run(), None) == workloads.OK, op.kind

@@ -17,6 +17,8 @@ import pytest
 from palgebra import (
     FieldDescriptor,
     SymbolAlgebra,
+    Value,
+    ValuedAlgebra,
     make_algebra,
     parse_scalar,
     polys,
@@ -55,6 +57,22 @@ def test_golden_counterexample(capsys):
                        "--samples", "50", "--seed", "7")
     assert code == 0
     assert out == (GOLDENS / "counterexample_p2.txt").read_text()
+
+
+def test_counterexample_lists_as_verified_only_the_checks_that_passed(capsys, monkeypatch):
+    # every Gauss value (0, 0): the residue checks and the distinct-lattice
+    # check fail, and their facts must not print as verified
+    monkeypatch.setattr(ValuedAlgebra, "gauss_value", lambda self, t: Value.of(0, 0))
+    code, out, _ = run(capsys, "counterexample", "-p", "2", "--samples", "3", "--seed", "7")
+    assert code == 1
+    assert "check a-coordinate of v((u y)^p) = 1 mod p in [1,a): expected 3 pass, " \
+        "computed 0 pass: FAIL" in out.splitlines()
+    assert "check subfield value groups distinct across the two algebras: FAIL" in out
+    verified = [line for line in out.splitlines() if line.startswith("verified: ")]
+    assert verified == [
+        "verified: for each sampled u, (u*y)^p equals N(u) times the right slot (engine identity)",
+        "verified: value groups: [1,a) gives (1/2)Z x Z, [1,b) gives Z x (1/2)Z",
+    ]
 
 
 def test_golden_eval_laurent(capsys):

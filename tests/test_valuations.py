@@ -14,6 +14,7 @@ from palgebra import (
     ZeroValue,
     counterexample_check,
     make_algebra,
+    parse_scalar,
     valuation,
     valuations,
 )
@@ -164,37 +165,30 @@ def test_gauss_value_makes_no_valuation_call(monkeypatch):
 
 def test_value_groups_of_the_two_algebras():
     for p in (2, 3, 5):
-        rep_a = valued(p, "a").value_group()
-        assert rep_a.description == f"(1/{p})Z x Z"
-        rep_b = valued(p, "b").value_group()
-        assert rep_b.description == f"Z x (1/{p})Z"
-        assert Value.of(1, 0) in rep_a.generators
-        assert Value.of(0, 1) in rep_a.generators
+        assert valued(p, "a").value_group() == f"(1/{p})Z x Z"
+        assert valued(p, "b").value_group() == f"Z x (1/{p})Z"
 
 
 def test_value_group_mixed_monomial_slot():
-    field = laurent_field(2)
-    A = make_algebra(2, field.one(), field.gen("a") * field.gen("b"), field)
-    rep = ValuedAlgebra(A).value_group()
-    assert rep.basis == (
-        Value(Fraction(1, 2), Fraction(1, 2)),
-        Value(Fraction(0), Fraction(1)),
-    )
-    assert rep.description == "lattice[(1/2, 1/2), (0, 1)]"
+    # v(y) = v(beta)/p off both axes: the lattice is not a product of axes
+    for p, beta, group in (
+        (2, "a*b", "lattice[(1/2, 1/2), (0, 1)]"),
+        (3, "a*b", "lattice[(1/3, 1/3), (0, 1)]"),
+        (5, "a*b", "lattice[(1/5, 1/5), (0, 1)]"),
+        (3, "a^2*b", "lattice[(1/3, 2/3), (0, 1)]"),
+        (5, "a^2*b", "lattice[(1/5, 3/5), (0, 1)]"),
+    ):
+        field = laurent_field(p)
+        A = make_algebra(p, field.one(), parse_scalar(beta, field), field)
+        assert ValuedAlgebra(A).value_group() == group, (p, beta)
 
 
-def test_value_group_rejects_non_monomial_slot():
-    field = laurent_field(2)
-    A = make_algebra(2, field.one(), field.one() + field.gen("a"), field)
-    va_ok = False
-    try:
-        va = ValuedAlgebra(A)
-        va_ok = True
-    except UnsupportedSlot:
-        pass
-    if va_ok:
-        with pytest.raises(UnsupportedSlot):
-            va.value_group()
+def test_value_group_of_non_monomial_slot():
+    # a + b^2 has leading term a, so v(y) = (1/p, 0) as for [1, a)
+    for p in (2, 3, 5):
+        field = laurent_field(p)
+        A = make_algebra(p, field.one(), parse_scalar("a + b^2", field), field)
+        assert ValuedAlgebra(A).value_group() == f"(1/{p})Z x Z"
 
 
 def test_valued_algebra_rejects_p_divisible_slot_value():
@@ -259,7 +253,9 @@ def test_counterexample_y_cubed():
 def test_counterexample_check_report(p):
     rep = counterexample_check(p, precision=6, samples=10, seed=7)
     assert rep.ok
-    assert rep.checks_passed == rep.total_checks == 20
+    assert rep.checks_passed == rep.total_checks == rep.norm_identities == 20
+    assert rep.residues_a == rep.residues_b == 10
+    assert len(rep.verified_facts) == 4
     assert rep.lattices_always_distinct
     assert rep.value_group_a == f"(1/{p})Z x Z"
     assert rep.value_group_b == f"Z x (1/{p})Z"
@@ -273,8 +269,9 @@ def test_counterexample_check_deterministic():
     rep1 = counterexample_check(2, precision=6, samples=5, seed=11)
     rep2 = counterexample_check(2, precision=6, samples=5, seed=11)
     assert rep1 == rep2
+    # the report carries no echo of its seed: the records tell seeds apart
     rep3 = counterexample_check(2, precision=6, samples=5, seed=12)
-    assert rep3 != rep1
+    assert rep3.records != rep1.records
 
 
 def test_counterexample_check_validates_samples():
