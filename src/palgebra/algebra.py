@@ -17,12 +17,11 @@ depend only on p and are shared by every algebra.  Elements and handles
 are immutable.
 
 Scalars, over F_p(a, b) and over F_p((a))((b)) alike, reach a product
-only as term-map fractions: a scalar's _fraction() is its numerator and
-denominator as term maps (the denominator None when there is none).  A
-product does no scalar arithmetic.  Each operand's numerators are brought
-over the lcm of its denominators.  Over den(alpha) * den(beta), a
-constant is n0 times one slot factor plus n1 times another, four factors
-built once per algebra from the slots' maps.
+only as their canonical term maps num and den, a denominator of one being
+polys.P_ONE.  A product does no scalar arithmetic.  Each operand's
+numerators are brought over the lcm of its denominators.  Over
+den(alpha) * den(beta), a constant is n0 times one slot factor plus n1
+times another, four factors built once per algebra from the slots' maps.
 Each term pair's product is formed once with unreduced integer
 coefficients and summed, times n0 and times n1, per output monomial and
 wrap; each output sum is multiplied once by its slot factor, at most four
@@ -81,7 +80,7 @@ PACKED_MIN_SIZE = 48
 class SymbolAlgebra:
     """Handle for the algebra with left slot alpha and right slot beta."""
 
-    __slots__ = ("p", "alpha", "beta", "field", "_zero", "_one", "_fractions", "_factors")
+    __slots__ = ("p", "alpha", "beta", "field", "_zero", "_one", "_factors")
 
     def __init__(self, p, alpha, beta, field):
         if field.prime != p:
@@ -98,10 +97,9 @@ class SymbolAlgebra:
         self._one = field.one()
         # (n0 + n1*alpha) * beta^wrap over da * db, for slots alpha = na / da
         # and beta = nb / db, is n0 * factors[wrap][0] + n1 * factors[wrap][1]
-        # with the factors da * b and na * b, b = nb if wrap else db; an
-        # absent denominator is 1, and na is {} when alpha is zero
-        self._fractions = (na, da), (nb, db) = alpha._fraction(), beta._fraction()
-        da, db = da or polys.P_ONE, db or polys.P_ONE
+        # with the factors da * b and na * b, b = nb if wrap else db; na is
+        # {} when alpha is zero.  factors[0][0] is da * db
+        (na, da), (nb, db) = (alpha.num, alpha.den), (beta.num, beta.den)
         self._factors = tuple((polys.p_mul(da, b, p), polys.p_mul(na, b, p)) for b in (db, nb))
 
     # identity of handles is by value so rebuilt algebras interoperate
@@ -181,19 +179,20 @@ class SymbolAlgebra:
     def _mul_terms(self, s_frac, t_frac):
         """The product of two elements given as (numerators, d) from
         _over_common_denominator, in the same form: each output numerator
-        over the product of the operands' and the slots' denominators.  The
-        numerators come from _packed_products when the product's _size is
-        at least PACKED_MIN_SIZE, else from _dict_products; the caller
-        divides and builds the coefficients."""
+        over the product of the operands' denominators and the slots' one,
+        factors[0][0].  The numerators come from _packed_products when the
+        product's _size is at least PACKED_MIN_SIZE, else from
+        _dict_products; the caller divides and builds the coefficients."""
         (s_num, s_den), (t_num, t_den) = s_frac, t_frac
         p = self.p
         kernel = _packed_products if _size(s_num, t_num) >= PACKED_MIN_SIZE else _dict_products
         num = kernel(p, s_num, t_num, self._factors)
-        (_, da), (_, db) = self._fractions
-        den = None
-        for d in (s_den, t_den, da, db):
-            if d is not None:
-                den = d if den is None else polys.p_mul(den, d, p)
+        den = self._factors[0][0]
+        for d in (s_den, t_den):
+            if polys.p_is_one(den):
+                den = d
+            elif not polys.p_is_one(d):
+                den = polys.p_mul(den, d, p)
         return num, den
 
     def add(self, s, t):
@@ -446,8 +445,6 @@ class AlgElement:
         return self.algebra.power(self, n)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.algebra.scalar(other)
         if not isinstance(other, AlgElement):
             return NotImplemented
         return self.algebra == other.algebra and self.entries == other.entries
@@ -492,15 +489,15 @@ class AdComponents(tuple):
 def _over_common_denominator(entries, p):
     """(numerators, d) with each coefficient of entries the term map
     numerators[ij] over the term map d, the lcm of the coefficients'
-    denominators (None when none has one).  The lcm takes one gcd per
-    further distinct denominator."""
+    denominators (polys.P_ONE when none has one).  The lcm takes one gcd
+    per further distinct denominator."""
     numerators, dens = {}, {}
     for ij, c in entries.items():
-        numerators[ij], d = c._fraction()
-        if d is not None:
-            dens[ij] = frozenset(d.items()), d
+        numerators[ij] = c.num
+        if not polys.p_is_one(c.den):
+            dens[ij] = frozenset(c.den.items()), c.den
     if not dens:
-        return numerators, None
+        return numerators, polys.P_ONE
     common = polys.P_ONE
     cofactors = {}  # each distinct denominator, keyed by its terms -> common / it
     for key, e in dens.values():

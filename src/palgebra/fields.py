@@ -80,11 +80,6 @@ class RatFunc:
     def _is_sum(self):
         return self.is_poly() and len(self.num) > 1
 
-    def _fraction(self):
-        """(num, den) as term maps, den None for a polynomial; callers read
-        the maps and never mutate them."""
-        return self.num, None if polys.p_is_one(self.den) else self.den
-
     # arithmetic -----------------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, type(self)):
@@ -171,8 +166,7 @@ class RatFunc:
 
     # comparison / hashing ---------------------------------------------------
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self._coerce(other)
+        # equal only to a scalar of its own kind, as its hash requires
         if not isinstance(other, type(self)):
             return NotImplemented
         return self.p == other.p and self.num == other.num and self.den == other.den
@@ -272,7 +266,6 @@ class LaurentScalar:
     # the arithmetic of canonical fractions is RatFunc's
     is_zero = RatFunc.is_zero
     is_poly = RatFunc.is_poly
-    _fraction = RatFunc._fraction
     _coerce = RatFunc._coerce
     __add__ = __radd__ = RatFunc.__add__
     __neg__ = RatFunc.__neg__
@@ -300,10 +293,6 @@ class LaurentScalar:
 
     def _is_sum(self):
         return len(self.num) > 1 or len(self.den) > 1
-
-    def coefficient(self, ea, eb):
-        """The coefficient at a^ea b^eb of the expansion, an int in 0..p-1."""
-        return _expansion(self.num, self.den, self.p, ea + 1, eb + 1).get((ea, eb), 0)
 
     # printing ----------------------------------------------------------------
     def _box(self):

@@ -68,8 +68,7 @@ def _degree(value):
     """The largest i + j over the terms a^i b^j of a scalar's numerator
     and denominator, or of every coefficient's."""
     scalars = value.entries.values() if isinstance(value, AlgElement) else (value,)
-    maps = [m for c in scalars for m in c._fraction() if m]
-    return max((i + j for m in maps for i, j in m), default=0)
+    return max((i + j for c in scalars for m in (c.num, c.den) for i, j in m), default=0)
 
 
 def is_name(text):

@@ -224,6 +224,12 @@ def laurent_expansion(c, ta, tb):
     return {m: v for m, v in q.items() if m[0] < ta}
 
 
+def laurent_coefficient(c, ea, eb):
+    """The coefficient at a^ea b^eb of the scalar c read in F_p((a))((b)),
+    an int in 0..p-1."""
+    return laurent_expansion(c, ea + 1, eb + 1).get((ea, eb), 0)
+
+
 def hermite_2col(rows):
     """Row Hermite normal form of an integer matrix with two columns and
     rank 2, by Euclid on the first column: the two basis rows

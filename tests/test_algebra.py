@@ -531,6 +531,48 @@ def test_rational_products_make_no_scalar_operation(monkeypatch):
     assert prod == mul_reference(A, s, t)
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_slot_denominators_join_a_product_multiplied_once(monkeypatch, p):
+    # den(alpha) * den(beta) is formed once per algebra, so x * y over
+    # [a/b, 1/(a+b)), whose operands have no denominator, multiplies no
+    # term maps; multiplying den(alpha) and den(beta) in at every product
+    # took one p_mul here
+    rat = FieldDescriptor("rational", p)
+    a, b, one = rat.gen("a"), rat.gen("b"), rat.one()
+    A = make_algebra(p, a / b, one / (a + b), rat)
+    x, y = A.x(), A.y()
+    calls = []
+    p_mul = polys.p_mul
+    monkeypatch.setattr(polys, "p_mul", lambda f, g, q: calls.append(1) or p_mul(f, g, q))
+    prod = A.mul(x, y)
+    assert not calls
+    monkeypatch.undo()
+    assert prod.entries == {(1, 1): one}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_laurent_product_coefficients_are_built_as_canonical_fractions(monkeypatch, p):
+    # a product's numerators are polynomials over one denominator,
+    # polys.P_ONE when there is none, so each output coefficient is built
+    # as that fraction; built with no den, it was read as a Laurent
+    # polynomial and its least exponents were taken again
+    lau = FieldDescriptor("laurent", p, 8)
+    A = make_algebra(p, lau.one(), lau.gen("a"), lau)
+    s, t = _dense_poly_elements(A, random.Random(p), 2)
+    dens = []
+    init = LaurentScalar.__init__
+
+    def recording_init(c, q, prec, terms, den=None, **kwargs):
+        dens.append(den)
+        init(c, q, prec, terms, den, **kwargs)
+
+    monkeypatch.setattr(LaurentScalar, "__init__", recording_init)
+    prod = A.mul(s, t)
+    monkeypatch.undo()
+    assert len(dens) == len(prod.entries) and None not in dens
+    assert prod == mul_reference(A, s, t)
+
+
 def test_rational_slot_products_divide_once_per_output_coefficient(monkeypatch):
     # over [a/b, 1/(a+b)) each constant (n0 + n1*alpha) * beta^w is a
     # polynomial numerator over den(alpha) * den(beta), which joins the one

@@ -6,14 +6,16 @@ would break only the traced benchmark run.  The workloads import public
 names of the library: a name deleted from ``src`` would break only the
 benchmark steps, and so would a deleted field of a report that an
 operation's check reads.  These checks load both modules without
-installing the tracer; the counterexample operations, which read report
-fields and transcripts, run once each through their own checks."""
+installing the tracer.  The first round of every workload, and the
+counterexample operations, which read report fields and transcripts, run
+once each through their own checks."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name, path, monkeypatch):
@@ -51,3 +53,21 @@ def test_counterexample_ops_pass_their_own_checks(monkeypatch):
     ]
     for op in ops:
         assert op.check(op.run(), None) == workloads.OK, op.kind
+
+
+def test_first_rounds_pass_their_own_checks(monkeypatch):
+    """Every operation of the first round of each workload at seed 1, run
+    and judged as the harness judges it: the draws rebuild scalars through
+    the field's constructors and the checks compare values, so a change to
+    either fails here before it fails the benchmark."""
+    workloads = _load("perfbench_workloads", PERFBENCH / "workloads.py", monkeypatch)
+    for name in ("verify-rational", "engine-poly", "laurent-valuation", "cli-mixed"):
+        ops = next(iter(workloads.rounds(name, 1, ROOT)))
+        assert ops
+        for op in ops:
+            out = err = None
+            try:
+                out = op.run()
+            except Exception as exc:  # judged by the check, as the harness does
+                err = exc
+            assert op.check(out, err) == workloads.OK, (name, op.kind, op.p, err)

@@ -59,9 +59,24 @@ def test_scalar_arithmetic_results_are_canonical(kind, p):
                 assert_canonical(r)
         # over one denominator the sum den / den must still cancel to 1
         assert_canonical(s + (1 - s))
-        assert s + (1 - s) == 1
+        assert s + (1 - s) == field.one()
         for r in (s.inverse(), s ** 3, s ** -2, s ** 0, s.frobenius(), -s):
             assert_canonical(r)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("p", (3, 5))
+def test_values_equal_only_values_of_their_kind(kind, p):
+    # an int is never equal to a scalar or an element: 2 and 2 + p would
+    # both equal from_int(2), and no hash agrees with that.  Equal values
+    # built in different ways are one set member
+    field = field_of(kind, p)
+    a, b = field.gen("a"), field.gen("b")
+    A = make_algebra(p, field.one(), b, field)
+    assert field.from_int(2) != 2 + p and field.from_int(2) != 2
+    assert field.one() != 1 and A.one() != 1 and A.scalar(2) != 2
+    assert len({field.one(), a / a, field.from_int(p + 1), (1 + a) / (1 + a)}) == 1
+    assert len({A.power(A.y(), p), A.scalar(b), A.y() ** p, A.scale(b, A.one())}) == 1
 
 
 @pytest.mark.parametrize("kind", KINDS)
