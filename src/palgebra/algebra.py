@@ -64,7 +64,6 @@ from .errors import (
     WitnessVerificationFailed,
     ZeroElement,
 )
-from .fields import _cancel
 
 _COMB = math.comb
 
@@ -504,7 +503,7 @@ def _over_common_denominator(entries, p):
         if key not in cofactors:
             # e / common = grow / rest in lowest terms, one gcd: the lcm grows
             # by grow and the cofactor of e is rest
-            grow, rest = _cancel(e, common, p)
+            grow, rest = polys.p_cancel(e, common, p)
             if not polys.p_is_one(grow):
                 common = polys.p_mul(common, grow, p)
                 for f, cof in cofactors.items():

@@ -1,17 +1,18 @@
-"""Exact scalars: rational functions in a and b over F_p, read in F_p(a, b)
-or in the bi-Laurent field F_p((a))((b)), and rank-2 values.
+"""The scalar types, RatFunc for F_p(a, b) and LaurentScalar for the
+bi-Laurent field F_p((a))((b)), with the rank-2 values and the field
+descriptors.
 
 Every scalar is immutable after construction and all operations are pure.
-Scalars are kept in canonical reduced form (coprime numerator and
-denominator, denominator monic under graded lex order), so equality of
+Each is one of polys' fractions in canonical form, so equality of
 representations is equality of functions.
 
 Every value the library builds in F_p((a))((b)) is a rational function of
 a and b, so a LaurentScalar is a RatFunc-form fraction read as a series, b
 outermost, with RatFunc's arithmetic: every answer is exact.  Its rank-2
 valuation is exact too, the b-first least exponent of the numerator minus
-that of the denominator.  A Laurent scalar's precision only sets how far
-the printer expands a value whose denominator is not a monomial.
+that of the denominator.  The series is read only by the printer, which
+expands a value whose denominator is not a monomial in a box that the
+scalar's precision sets.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ class RatFunc:
             self.num, self.den = {}, dict(polys.P_ONE)
             return
         if not _canonical and not polys.p_is_one(den):
-            num, den = _cancel(num, den, p)
-            num, den = _monic_den(num, den, p)
+            num, den = polys.p_cancel(num, den, p)
+            num, den = polys.p_monic_den(num, den, p)
         self.num, self.den = num, den
 
     def _like(self, num, den=None, canonical=True):
@@ -95,8 +96,6 @@ class RatFunc:
         if other is NotImplemented:
             return NotImplemented
         p = self.p
-        if self.is_poly() and other.is_poly():
-            return self._like(polys.p_add(self.num, other.num, p))
         if self.den == other.den:
             return self._like(polys.p_add(self.num, other.num, p), self.den, canonical=False)
         num = polys.p_add(
@@ -130,9 +129,9 @@ class RatFunc:
         if self.is_poly() and other.is_poly():
             return self._like(polys.p_mul(self.num, other.num, p))
         # cross-reduce so the product needs no further gcd
-        n1, d2 = _cancel(self.num, other.den, p)
-        n2, d1 = _cancel(other.num, self.den, p)
-        return self._like(*_monic_den(polys.p_mul(n1, n2, p), polys.p_mul(d1, d2, p), p))
+        n1, d2 = polys.p_cancel(self.num, other.den, p)
+        n2, d1 = polys.p_cancel(other.num, self.den, p)
+        return self._like(*polys.p_monic_den(polys.p_mul(n1, n2, p), polys.p_mul(d1, d2, p), p))
 
     __rmul__ = __mul__
 
@@ -141,7 +140,7 @@ class RatFunc:
             raise DivisionByZero("division by zero rational function")
         # a canonical numerator and denominator are coprime, so the
         # reciprocal needs no gcd
-        return self._like(*_monic_den(self.den, self.num, self.p))
+        return self._like(*polys.p_monic_den(self.den, self.num, self.p))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -176,48 +175,10 @@ class RatFunc:
 
     # printing ----------------------------------------------------------------
     def __str__(self):
-        if self.is_poly():
-            return polys.format_poly(self.num)
-        num_s = polys.format_poly(self.num)
-        if len(self.num) > 1:
-            num_s = f"({num_s})"
-        den_s = polys.format_poly(self.den)
-        if len(self.den) > 1:
-            den_s = f"({den_s})"
-        else:
-            (ea, eb) = next(iter(self.den))
-            if ea > 0 and eb > 0:
-                den_s = f"({den_s})"
-        return f"{num_s}/{den_s}"
+        return polys.format_fraction(self.num, self.den)
 
     def __repr__(self):
         return f"RatFunc(p={self.p}, {self})"
-
-
-def _cancel(n, d, p):
-    """n / g and d / g for g = gcd(n, d); a numerator equal to the
-    denominator cancels with no gcd."""
-    if polys.p_is_one(d):
-        return n, d
-    if n == d:
-        return dict(polys.P_ONE), dict(polys.P_ONE)
-    g = polys.p_gcd(n, d, p)
-    if polys.p_is_one(g):
-        return n, d
-    if len(g) == 1:
-        # a monic monomial gcd divides by shifting the exponents
-        (ga, gb), = g
-        return polys._shift(n, -ga, -gb), polys._shift(d, -ga, -gb)
-    return polys.p_div_exact(n, g, p), polys.p_div_exact(d, g, p)
-
-
-def _monic_den(num, den, p):
-    """num and den scaled so that den is monic."""
-    lc = polys.p_lc(den)
-    if lc == 1:
-        return num, den
-    inv = polys.inv_mod(lc, p)
-    return polys.p_scale(num, inv, p), polys.p_scale(den, inv, p)
 
 
 # ---------------------------------------------------------------------------
@@ -242,21 +203,14 @@ class LaurentScalar:
         """terms / den, reduced to canonical form unless ``_canonical``
         says it is.  With no den, ``terms`` maps the exponent pairs of a
         Laurent polynomial, negative ones allowed, to its coefficients,
-        which ``_canonical`` says are already in 1..p-1."""
+        which ``_canonical`` says are already in 1..p-1; its negative
+        exponents move into a monomial denominator, which leaves the
+        fraction canonical, and RatFunc builds the scalar either way."""
         self.prec = prec
-        if den is not None:
-            RatFunc.__init__(self, p, terms, den, _canonical=_canonical)
-            return
-        if not _canonical:
-            terms = polys.p_reduce(terms, p)
-        self.p, self.num, self.den = p, terms, polys.P_ONE
-        if terms:
-            # the least negative exponents move into a monomial denominator,
-            # which leaves the numerator coprime to it
-            sa, sb = min(0, min(terms)[0]), min(0, min(map(_second, terms)))
-            if sa or sb:
-                self.num = {(ea - sa, eb - sb): c for (ea, eb), c in terms.items()}
-                self.den = {(-sa, -sb): 1}
+        if den is None:
+            terms, den = _over_monomial(terms if _canonical else polys.p_reduce(terms, p))
+            _canonical = True
+        RatFunc.__init__(self, p, terms, den, _canonical=_canonical)
 
     def _like(self, num, den=None, canonical=True):
         """num / den as a scalar of this one's field."""
@@ -310,15 +264,15 @@ class LaurentScalar:
         prec = self.prec
         ta = prec if any(eb == j0 and ea != k0 for ea, eb in self.den) else INF
         tb = prec if any(eb > j0 for _, eb in self.den) else INF
-        va, vb = _leading(self)
+        va, vb = leading_exponents(self)
         return ta + va, tb + vb
 
     def __str__(self):
-        terms = self.terms
-        if terms is not None:
-            return _format_laurent(terms)
+        if len(self.den) == 1:
+            return polys.format_fraction(self.num, self.den, "series")
         ha, hb = self._box()
-        body = _format_laurent(_expansion(self.num, self.den, self.p, ha, hb))
+        expansion = _expansion(self.num, self.den, self.p, ha, hb)
+        body = polys.format_fraction(*_over_monomial(expansion), "series")
         if ha == INF:
             o = f"O(b^{hb})"
         elif hb == INF:
@@ -338,6 +292,17 @@ def _lead(m):
         return lead
     eb, ea = min((eb, ea) for ea, eb in m)
     return ea, eb
+
+
+def _over_monomial(terms):
+    """(num, den): Laurent terms, negative exponents allowed, over the least
+    monomial that clears them, which leaves the two coprime."""
+    if not terms:
+        return terms, polys.P_ONE
+    sa, sb = min(0, min(terms)[0]), min(0, min(map(_second, terms)))
+    if not (sa or sb):
+        return terms, polys.P_ONE
+    return {(ea - sa, eb - sb): c for (ea, eb), c in terms.items()}, {(-sa, -sb): 1}
 
 
 def _expansion(num, den, p, ha, hb):
@@ -376,23 +341,6 @@ def _expansion(num, den, p, ha, hb):
         if level:
             q[f] = level
     return {(e, f): c for f, level in q.items() for e, c in level.items() if e < ha}
-
-
-def _format_laurent(terms):
-    """A map of Laurent terms, ascending b first, over the monomial that
-    clears its negative exponents."""
-    if not terms:
-        return "0"
-    sa = min(0, min(ea for ea, _ in terms))
-    sb = min(0, min(eb for _, eb in terms))
-    shifted = {(ea - sa, eb - sb): c for (ea, eb), c in terms.items()}
-    body = polys.format_poly(shifted, order="series")
-    if not (sa or sb):
-        return body
-    den = polys._format_monomial(-sa, -sb, 1)
-    if -sa > 0 and -sb > 0:
-        den = f"({den})"
-    return f"({body})/{den}" if len(shifted) > 1 else f"{body}/{den}"
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +383,10 @@ def valuation(c):
     b-dominant leading term."""
     if not isinstance(c, LaurentScalar):
         raise TypeError("valuation is defined for Laurent scalars")
-    return Value.of(*_leading(c))
+    return Value.of(*leading_exponents(c))
 
 
-def _leading(c):
+def leading_exponents(c):
     """Exponents (ea, eb) of the b-dominant leading term of a Laurent
     scalar: the numerator's leading exponents minus the denominator's.
     Raises ZeroValue for zero."""

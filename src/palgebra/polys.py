@@ -34,6 +34,11 @@ row by row in a, each row ``stride`` slots of b, from an origin at or
 below its least exponents, so exact Laurent numerators with negative
 exponents pack too.
 
+A fraction is a pair (num, den) of term maps.  Its canonical form, which
+every scalar of ``fields`` keeps, has num and den coprime, den monic, and
+den = P_ONE for zero: ``p_cancel`` divides a pair by its gcd and
+``p_monic_den`` makes den monic.  ``format_fraction`` prints every fraction.
+
 All functions are pure. Monomial comparisons use graded lexicographic
 order with a ranked above b; gcds are returned monic with respect to that
 order so that canonical forms are unique.
@@ -501,6 +506,36 @@ def p_div_exact(f, g, p):
 
 
 # ---------------------------------------------------------------------------
+# fractions
+# ---------------------------------------------------------------------------
+
+def p_cancel(n, d, p):
+    """n / g and d / g for g = gcd(n, d); a numerator equal to the
+    denominator cancels with no gcd."""
+    if p_is_one(d):
+        return n, d
+    if n == d:
+        return dict(P_ONE), dict(P_ONE)
+    g = p_gcd(n, d, p)
+    if p_is_one(g):
+        return n, d
+    if len(g) == 1:
+        # a monic monomial gcd divides by shifting the exponents
+        (ga, gb), = g
+        return _shift(n, -ga, -gb), _shift(d, -ga, -gb)
+    return p_div_exact(n, g, p), p_div_exact(d, g, p)
+
+
+def p_monic_den(num, den, p):
+    """num and den scaled so that den is monic."""
+    lc = p_lc(den)
+    if lc == 1:
+        return num, den
+    inv = inv_mod(lc, p)
+    return p_scale(num, inv, p), p_scale(den, inv, p)
+
+
+# ---------------------------------------------------------------------------
 # printing
 # ---------------------------------------------------------------------------
 
@@ -525,3 +560,17 @@ def format_poly(f, order="grlex"):
     else:
         monomials = sorted(f, key=lambda m: (m[1], m[0]))
     return " + ".join(_format_monomial(ea, eb, f[(ea, eb)]) for ea, eb in monomials)
+
+
+def format_fraction(num, den, order="grlex"):
+    """Render num / den in format_poly's order, each in parentheses when it
+    has several terms, or for den, both a and b; a den of 1 is not shown."""
+    body = format_poly(num, order)
+    if p_is_one(den):
+        return body
+    if len(num) > 1:
+        body = f"({body})"
+    den_s = format_poly(den, order)
+    if len(den) > 1 or all(next(iter(den))):
+        den_s = f"({den_s})"
+    return f"{body}/{den_s}"

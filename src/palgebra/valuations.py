@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .algebra import AlgElement, SymbolAlgebra, make_algebra
 from .errors import UnsupportedSlot, ZeroValue
-from .fields import FieldDescriptor, Value, _leading
+from .fields import FieldDescriptor, Value, leading_exponents
 from .sampling import random_fx_element
 
 
@@ -36,12 +36,12 @@ class ValuedAlgebra:
     def __init__(self, algebra: SymbolAlgebra):
         if algebra.field.kind != "laurent":
             raise UnsupportedSlot("valuations need a Laurent base field")
-        va, vb = self._beta_exp = _leading(algebra.beta)
+        va, vb = self._beta_exp = leading_exponents(algebra.beta)
         if va % algebra.p == 0 and vb % algebra.p == 0:
             raise UnsupportedSlot("v(beta) is divisible by p; cosets of j*v(y) collapse")
         self.algebra = algebra
         # a value (0, 0) is a leading term a^0 b^0: a nonzero residue
-        if algebra.alpha.is_zero() or _leading(algebra.alpha) != (0, 0):
+        if algebra.alpha.is_zero() or leading_exponents(algebra.alpha) != (0, 0):
             raise UnsupportedSlot(
                 "the left slot must be a unit with nonzero residue (unramified x)"
             )
@@ -54,7 +54,7 @@ class ValuedAlgebra:
         va, vb = self._beta_exp
         best = None
         for (_, j), c in t.entries.items():
-            ea, eb = _leading(c)
+            ea, eb = leading_exponents(c)
             key = (p * eb + j * vb, p * ea + j * va)
             if best is None or key < best:
                 best = key

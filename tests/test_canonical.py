@@ -107,6 +107,14 @@ def test_laurent_terms_with_negative_exponents_are_canonical(p):
         c = LaurentScalar(p, 8, terms)
         assert_canonical(c)
         assert c.terms == polys.p_reduce(terms, p)
+    # a Laurent polynomial and the same fraction given with its denominator
+    field = field_of("laurent", p)
+    inverse_a = LaurentScalar(p, 8, {(-1, 0): 1})
+    over_a = field.from_terms({(0, 0): 1}, {(1, 0): 1})
+    assert (inverse_a.num, inverse_a.den, hash(inverse_a), str(inverse_a)) == (
+        over_a.num, over_a.den, hash(over_a), str(over_a))
+    for terms in ({}, {(-1, 2): p}):
+        assert LaurentScalar(p, 8, terms) == field.zero()
 
 
 def _algebras(kind, p):

@@ -165,6 +165,23 @@ def test_format_poly_grlex_order():
     assert polys.format_poly(f) == "2*a^2*b + 3*b^2 + a + 1"
 
 
+SUM = {(0, 0): 1, (1, 0): 1, (0, 1): 1}
+
+
+@pytest.mark.parametrize("num, den, grlex, series", [
+    ({}, polys.P_ONE, "0", "0"),
+    (SUM, polys.P_ONE, "a + b + 1", "1 + a + b"),
+    ({(0, 1): 2}, {(2, 0): 1}, "2*b/a^2", "2*b/a^2"),
+    ({(1, 0): 1}, {(0, 3): 1}, "a/b^3", "a/b^3"),
+    ({(0, 0): 1}, {(1, 1): 1}, "1/(a*b)", "1/(a*b)"),
+    ({(0, 0): 1, (1, 0): 1}, {(0, 1): 1}, "(a + 1)/b", "(1 + a)/b"),
+    ({(0, 0): 1, (2, 0): 1, (0, 1): 1}, SUM, "(a^2 + b + 1)/(a + b + 1)", "(1 + a^2 + b)/(1 + a + b)"),
+])
+def test_format_fraction_in_both_orders(num, den, grlex, series):
+    assert polys.format_fraction(num, den) == grlex
+    assert polys.format_fraction(num, den, "series") == series
+
+
 def test_univariate_gcd_monic():
     p = 5
     f = [2, 2]  # 2 + 2t
