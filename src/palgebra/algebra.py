@@ -45,7 +45,9 @@ Inverses and norms need no elimination.  One recurrence walks the reduced
 characteristic polynomial of t in Horner form, each coefficient read off
 the reduced trace of the product just formed (SymbolAlgebra._horner_sums).
 Its last sum is a polynomial tail in t with t * tail = tail * t = Nrd(t),
-a scalar: inverse returns tail / Nrd(t), and norm_Fx is Nrd on F[x].
+a scalar: inverse returns tail / Nrd(t), and norm_Fx is Nrd on F[x].  A
+product with an inverse, s * tail / Nrd(t), divides each coefficient once,
+and a Nrd(t) that divides one cancels by exact division (polys.p_cancel).
 """
 
 from __future__ import annotations
@@ -266,25 +268,32 @@ class SymbolAlgebra:
             prod = self.mul(h, t)
         return sums, prod
 
-    def inverse(self, t):
-        """Two-sided inverse, raising NotInvertible with a nonzero witness s
-        (s*t = 0, a zero divisor) when none exists.
+    def inverse(self, t, left=None):
+        """left * t^(-1), the two-sided inverse when left is None; raises
+        NotInvertible with a nonzero witness s (s*t = 0, a zero divisor)
+        when t has none.
 
         The Horner sums of the reduced characteristic polynomial
         (_horner_sums) give tail = h_(p-1) with tail * t = Nrd(t), so c =
         the constant term of t * tail and the inverse is tail / c.  An
         inverse costs the p - 1 products of the recurrence, t * tail and
-        one scalar inverse.  It is checked on both sides: t * tail must
-        have no coefficient but c and equal tail * t.  With c = 0
-        the witness is the last nonzero h_m, verified by multiplication.  A
-        scalar t takes the scalar inverse: the recurrence would form every
-        power of it up to t^p, unbounded work at a large p.
+        one scalar inverse.  A product with the inverse, left * tail,
+        takes tail undivided and divides each coefficient once, by c, so no
+        coefficient of tail / c is built; a c that divides a coefficient
+        cancels by exact division (polys.p_cancel).  Either is checked on
+        both sides: t * tail must have no coefficient but c and equal
+        tail * t.  With c = 0 the witness is the last nonzero h_m, verified
+        by multiplication.  A scalar t takes the scalar inverse: the
+        recurrence would form every power of it up to t^p, unbounded work
+        at a large p.
         """
         self._check(t)
+        if left is not None:
+            self._check(left)
         if t.is_zero():
             raise NotInvertible("element is a zero divisor", witness=self.one())
         if set(t.entries) == {(0, 0)}:
-            return self._grid({(0, 0): self._one / t.entries[(0, 0)]})
+            return self._scaled(self._one / t.entries[(0, 0)], self.one() if left is None else left)
         sums, right = self._horner_sums(t)
         tail = sums[-1]
         prod = self.mul(t, tail)
@@ -296,11 +305,12 @@ class SymbolAlgebra:
             if not self.mul(witness, t).is_zero():
                 raise WitnessVerificationFailed("bad zero-divisor witness")
             raise NotInvertible("element is a zero divisor", witness=witness)
-        return self._scaled(self._one / c, tail)
+        return self._scaled(self._one / c, tail if left is None else self.mul(left, tail))
 
     def conjugate(self, u, t):
-        """u * t * u^(-1)."""
-        return self.mul(self.mul(u, t), self.inverse(u))
+        """u * t * u^(-1), formed by inverse(u, left=u * t) as u t tail
+        divided once by Nrd(u)."""
+        return self.inverse(u, left=self.mul(u, t))
 
     # element predicates -------------------------------------------------------
     def is_artin_schreier(self, t):

@@ -36,8 +36,9 @@ exponents pack too.
 
 A fraction is a pair (num, den) of term maps.  Its canonical form, which
 every scalar of ``fields`` keeps, has num and den coprime, den monic, and
-den = P_ONE for zero: ``p_cancel`` divides a pair by its gcd and
-``p_monic_den`` makes den monic.  ``format_fraction`` prints every fraction.
+den = P_ONE for zero: ``p_cancel`` divides a pair by its gcd, or by den
+with no gcd when den divides num exactly, and ``p_monic_den`` makes den
+monic.  ``format_fraction`` prints every fraction.
 
 All functions are pure. Monomial comparisons use graded lexicographic
 order with a ranked above b; gcds are returned monic with respect to that
@@ -510,12 +511,18 @@ def p_div_exact(f, g, p):
 # ---------------------------------------------------------------------------
 
 def p_cancel(n, d, p):
-    """n / g and d / g for g = gcd(n, d); a numerator equal to the
-    denominator cancels with no gcd."""
+    """n / g and d / g for g a gcd of n and d: a numerator equal to the
+    denominator cancels with no gcd, and so does one that a denominator of
+    several terms divides, by exact division with g = d."""
     if p_is_one(d):
         return n, d
     if n == d:
         return dict(P_ONE), dict(P_ONE)
+    if 1 < len(d) <= len(n) and _extremes_divide(d, n):
+        try:
+            return p_div_exact(n, d, p), P_ONE
+        except ArithmeticError:
+            pass
     g = p_gcd(n, d, p)
     if p_is_one(g):
         return n, d
@@ -524,6 +531,13 @@ def p_cancel(n, d, p):
         (ga, gb), = g
         return _shift(n, -ga, -gb), _shift(d, -ga, -gb)
     return p_div_exact(n, g, p), p_div_exact(d, g, p)
+
+
+def _extremes_divide(d, n):
+    """False when d cannot divide n: in lexicographic order, a first and b
+    first, the least and the greatest monomial of d * q are d's times q's."""
+    return all(e <= f for key in (None, lambda m: m[::-1]) for pick in (min, max)
+               for e, f in zip(pick(d, key=key), pick(n, key=key)))
 
 
 def p_monic_den(num, den, p):

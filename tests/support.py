@@ -1,7 +1,7 @@
 """Shared helpers for the test suite: the source path, the samplers, the
-per-coefficient product oracle, the dense inverse oracle, the shifts in
-F[x], the Laurent expansion oracle, the general two-column Hermite form
-and the Gauss value in Fraction arithmetic."""
+per-coefficient product oracle, the dense inverse oracle, the conjugation
+oracle, the shifts in F[x], the Laurent expansion oracle, the general
+two-column Hermite form and the Gauss value in Fraction arithmetic."""
 
 import dataclasses
 from fractions import Fraction
@@ -163,6 +163,16 @@ def _solve_or_null(matrix, rhs, zero, one):
     for col, r in pivot_of_col.items():
         vec[col] = -m[r][free]
     return "null", vec
+
+
+# --- reference path: conjugation through a built inverse --------------------
+# SymbolAlgebra.conjugate as it was formed before inverse took a left factor:
+# the canonical inverse u^(-1) = tail / Nrd(u), every coefficient reduced,
+# then multiplied in on the right.
+
+def conjugate_reference(A, u, t):
+    """u * t * u^(-1) with u^(-1) built on its own."""
+    return A.mul(A.mul(u, t), A.inverse(u))
 
 
 # --- reference path: the norm from F[x] as a product of shifts --------------

@@ -25,6 +25,7 @@ from palgebra.fields import LaurentScalar, RatFunc
 from palgebra.sampling import random_fx_element, random_monomial_scalar, random_poly_scalar
 
 from support import (
+    conjugate_reference,
     copy_to,
     fractions_of,
     inverse_dense,
@@ -973,6 +974,83 @@ def test_conjugation_examples():
     # element is (y^2)^m
     y2 = A.power(y, 2)
     assert A.conjugate(A.power(y2, 2), x + y2) == x + y2 + A.one()
+
+
+
+# conjugate forms u t tail / Nrd(u), dividing each coefficient once by
+# Nrd(u), and inverse(u, left=s) forms s tail / Nrd(u) the same way; the
+# oracle builds the canonical u^(-1) first and multiplies it in.  Both must
+# give the same canonical coefficients over polynomial and fractional slots
+# and over the Laurent field
+CONJUGATION_FIELDS = [
+    ("rational", "a", "b"),
+    ("rational", "a/b", "1/(a+b)"),
+    ("laurent", "a", "b"),
+]
+
+
+def _field_algebra(p, kind, alpha, beta):
+    field = FieldDescriptor(kind, p, 8 if kind == "laurent" else None)
+    return make_algebra(p, parse_scalar(alpha, field), parse_scalar(beta, field), field)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("slots", CONJUGATION_FIELDS, ids=lambda s: "[%s, %s) %s" % (s[1], s[2], s[0]))
+def test_conjugate_and_left_inverse_match_the_built_inverse(p, slots):
+    A = _field_algebra(p, *slots)
+    rng = random.Random(f"conjugate {p} {slots}")
+    fraction = lambda r: random_rational_function(r, A.field, max_degree=1)
+    compared = 0
+    for n in range(8):
+        # u = w^m, m = 1..3, for w general (p < 5) or u*y^k with u in F[x],
+        # which has a fractional coefficient from the fifth draw on (p < 5:
+        # at p = 5 such an inverse alone takes seconds)
+        if p < 5 and n % 2 == 0:
+            w = random_nonzero_element(rng, A, 0.3)
+        else:
+            f = random_fx_element(rng, A)
+            if n >= 4 and p < 5:
+                f = f + A.scale(fraction(rng), A.power(A.x(), rng.randrange(p)))
+            w = A.mul(f, A.power(A.y(), rng.randrange(1, p)))
+        u = A.power(w, 1 + n % 3)
+        t, s = (random_nonzero_element(rng, A, 0.3 if p < 5 else 0.1,
+                                       sample=fraction if n % 3 else None) for _ in range(2))
+        try:
+            expected = conjugate_reference(A, u, t)
+        except NotInvertible:
+            for call in (lambda: A.conjugate(u, t), lambda: A.inverse(u, left=s)):
+                with pytest.raises(NotInvertible) as exc:
+                    call()
+                assert not exc.value.witness.is_zero()
+                assert A.mul(exc.value.witness, u).is_zero()
+            continue
+        assert fractions_of(A.conjugate(u, t)) == fractions_of(expected)
+        assert fractions_of(A.inverse(u, left=s)) == fractions_of(A.mul(s, A.inverse(u)))
+        compared += 1
+    assert compared >= 7
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_conjugate_by_a_zero_divisor_raises_with_a_verified_witness(p):
+    # over [a, 1) the element y - 1 has (y - 1)^p = y^p - 1 = 0
+    A = _field_algebra(p, "rational", "a", "1")
+    u = A.y() - A.one()
+    t = A.x() + A.scalar(A.field.gen("b")) * A.y()
+    for call in (lambda: A.conjugate(u, t), lambda: A.inverse(u, left=t)):
+        with pytest.raises(NotInvertible) as exc:
+            call()
+        witness = exc.value.witness
+        assert not witness.is_zero()
+        assert A.mul(witness, u).is_zero()
+
+
+@pytest.mark.parametrize("kind", ["rational", "laurent"])
+def test_conjugate_by_a_scalar_returns_t(kind):
+    A = _field_algebra(3, kind, "a", "b")
+    t = random_nonzero_element(random.Random(31), A)
+    c = parse_scalar("(1 + a)/(b + a*b^2)", A.field)
+    assert A.conjugate(A.scalar(c), t) == t
+    assert A.inverse(A.scalar(c), left=t) == A.scale(c.inverse(), t)
 
 
 # --- predicates -------------------------------------------------------------------

@@ -446,6 +446,17 @@ CONTRACTS = {
                       budget=60)
         for key, flags in (("text", ""), ("json", " --json"))
     },
+    # the family check dense in p: 0.8 s at p = 17 on a 2-core machine
+    "family_check_at_p17_finishes": [
+        Contract("counterexample -p 17 --samples 1", 0, PASSES),
+    ],
+    # the shift check conjugates by t^4 at p = 11 and divides each
+    # coefficient once by Nrd(t^4): 0.4 s on a 2-core machine, 1.0 s when
+    # the inverse was built first
+    "lemma_shift_at_p11_finishes": [
+        Contract('verify-lemma -p 11 --x x --t "(1+a*x+b*x^2)*y^3" --alpha a --beta b', 0,
+                 PASSES),
+    ],
     "laurent_slot_with_a_non_monomial_denominator": [
         Contract('identity -p 7 --alpha a --beta "1/(a+b)" --field laurent', 0, PASSES),
     ],

@@ -22,7 +22,7 @@ from palgebra import (
     verify_lemma,
     verify_presentation,
 )
-from palgebra import sampling
+from palgebra import polys, sampling
 from palgebra.sampling import (
     draw_right_linked,
     random_fx_element,
@@ -220,6 +220,31 @@ def test_verify_lemma_structured_family(p):
         assert rep.k == k
         assert rep.ok
         checked += 1
+
+
+def test_verify_lemma_family_conjugates_with_few_gcds(monkeypatch):
+    # the first 20 draws of acceptance criterion 3 at p = 5, k = 1..4: the
+    # shift t^m (x+t) t^-m is (t^m (x+t) tail) / Nrd(t^m), and its polynomial
+    # coefficients cancel Nrd(t^m) by exact division.  This makes 81 p_gcd
+    # calls and 1 remainder sequence; dividing tail by Nrd(t^m) before the
+    # product made 682 and 473
+    p = 5
+    A = algebra(p)
+    rng = random.Random(303 + p)
+    units = []
+    while len(units) < 20:
+        u = random_fx_element(rng, A)
+        if not A.norm_Fx(u).is_zero():
+            units.append(u)
+    calls, runs = [], []
+    gcd, sequence = polys.p_gcd, polys._primitive_prs
+    monkeypatch.setattr(polys, "p_gcd", lambda f, g, q: calls.append(1) or gcd(f, g, q))
+    monkeypatch.setattr(polys, "_primitive_prs", lambda F, G, q: runs.append(1) or sequence(F, G, q))
+    for u in units:
+        for k in range(1, p):
+            assert verify_lemma(A, A.x(), A.mul(u, A.power(A.y(), k))).ok
+    assert len(calls) <= 100
+    assert len(runs) <= 2
 
 
 # --- lambda and the main construction --------------------------------------------------

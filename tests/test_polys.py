@@ -408,3 +408,70 @@ def test_certificate_scan_is_bounded_by_degrees_not_p(monkeypatch):
         (fa, fb), (ga, gb) = (tuple(map(max, zip(*k))) for k in (f, g))
         bound = max(fa, ga) + fa * gb + ga * fb + 1
         assert calls and len(calls) <= 2 * bound
+
+
+# p_cancel divides exactly, with no gcd, when a denominator of several terms
+# divides its numerator; a pair whose extreme monomials in lexicographic
+# order (a first and b first, least and greatest) rule that out goes
+# straight to the gcd.  Every route must give the canonical pair of the gcd
+# route, here sympy's gcd and quotients
+
+def sympy_quo(f, g, p):
+    q, r = sympy.div(sympy.Poly(to_sympy(f).as_expr(), A, B, modulus=p),
+                     sympy.Poly(to_sympy(g).as_expr(), A, B, modulus=p))
+    assert r.is_zero
+    return from_sympy(q, p)
+
+
+def cancel_by_sympy(n, d, p):
+    g = sympy_gcd(n, d, p)
+    return polys.p_monic_den(sympy_quo(n, g, p), sympy_quo(d, g, p), p)
+
+
+def cancel_pairs(rng, p, kind, count=12):
+    """count pairs (n, d), d of several terms: d | n with d no longer than
+    n (the exact-division route), n = k d, n | d, or n and d coprime."""
+    pairs = []
+    while len(pairs) < count:
+        d = random_in_b(rng, p, 2, rng.randint(1, 2))
+        q = random_poly(rng, p, 2, 4)
+        if not q:
+            continue
+        if kind == "planted":
+            n = polys.p_mul(d, q, p)
+            if len(d) > len(n):
+                continue
+        elif kind == "proportional":
+            n = polys.p_scale(d, rng.randrange(1, p), p)
+        elif kind == "n divides d":
+            n, d = d, polys.p_mul(d, q, p)
+        else:
+            n = q
+            if sympy_gcd(n, d, p) != polys.P_ONE:
+                continue
+        pairs.append((n, d))
+    return pairs
+
+
+@pytest.mark.parametrize("p", GCD_PRIMES)
+@pytest.mark.parametrize("kind", ["planted", "proportional", "n divides d", "coprime"])
+def test_cancel_matches_the_gcd_route(p, kind, monkeypatch):
+    gcds, divisions = [], []
+    gcd, div_exact = polys.p_gcd, polys.p_div_exact
+    monkeypatch.setattr(polys, "p_gcd", lambda f, g, q: gcds.append(1) or gcd(f, g, q))
+    monkeypatch.setattr(polys, "p_div_exact",
+                        lambda f, g, q: divisions.append((f, g)) or div_exact(f, g, q))
+    rejected = 0
+    for n, d in cancel_pairs(random.Random(f"cancel {p} {kind}"), p, kind):
+        gcds.clear()
+        divisions.clear()
+        ours = polys.p_monic_den(*polys.p_cancel(n, d, p), p)
+        assert ours == cancel_by_sympy(n, d, p)
+        if kind == "planted":
+            assert not gcds and ours[1] == polys.P_ONE
+        if len(d) <= len(n) and not polys._extremes_divide(d, n):
+            assert not any(f is n and g is d for f, g in divisions)
+            rejected += 1
+    # every divisor passes the filter, and it turns away some pair of each
+    # other kind that the length test lets through
+    assert (rejected > 0) == (kind in ("n divides d", "coprime"))
